@@ -20,8 +20,6 @@ from .criteria import (
     evaluate_ri_criterion,
     inner_product_ee,
     ri_bound_check,
-    scan_to_csv,
-    visibility_scan,
 )
 from .errors import BellriError, DomainError, ValidationError
 from .lhv import (
@@ -37,7 +35,6 @@ from .lhv import (
     model_correlation,
     piecewise_correlation,
     sample,
-    sweep_to_csv,
     verdict_sweep,
 )
 from .states import (
@@ -62,7 +59,6 @@ from .tensor import (
     tensor_from_json,
     tensor_max_grid,
     tensor_max_svd,
-    tensor_to_csv,
     tensor_to_json,
     to_unit_vector,
 )
@@ -112,15 +108,11 @@ __all__ = [
     "rotate_tensor",
     "rotation_from_unitary",
     "sample",
-    "scan_to_csv",
-    "sweep_to_csv",
     "tensor_from_json",
     "tensor_max_grid",
     "tensor_max_svd",
-    "tensor_to_csv",
     "tensor_to_json",
     "to_unit_vector",
     "validate_density_matrix",
     "verdict_sweep",
-    "visibility_scan",
 ]

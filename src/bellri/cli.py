@@ -12,12 +12,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional
 
 from . import criteria, lhv, states, tensor
-from .errors import DomainError, ValidationError
+from .errors import DomainError
 
 CONFIG_ENV_VAR = "BELLRI_CONFIG"
 STDOUT_MARKER = "-"
@@ -35,17 +35,10 @@ class RunConfig:
     fmt: str = "json"
     output: str = STDOUT_MARKER
     tol: float = 1e-9
-    quad_theta: int = 8
-    quad_phi: int = 16
-    grid_theta: int = 200
-    grid_phi: int = 400
 
     def __post_init__(self) -> None:
         if self.fmt not in ("json", "csv"):
             raise DomainError(f"format must be 'json' or 'csv', got {self.fmt!r}")
-        for name in ("quad_theta", "quad_phi", "grid_theta", "grid_phi"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
         if not self.tol > 0.0:
             raise DomainError(f"tol must be positive, got {self.tol}")
 
@@ -55,11 +48,10 @@ _CONFIG_PARSERS = {
     "format": str,
     "output": str,
     "tol": float,
-    "quad_theta": int,
-    "quad_phi": int,
-    "grid_theta": int,
-    "grid_phi": int,
 }
+
+TENSOR_CSV_HEADER = "T11,T12,T13,T21,T22,T23,T31,T32,T33"
+SWEEP_CSV_HEADER = "v,margin,consistent"
 
 
 def load_config(path: str) -> RunConfig:
@@ -90,16 +82,10 @@ def load_config(path: str) -> RunConfig:
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     cfg = load_config(path) if path else RunConfig()
-    overrides = {}
-    if getattr(args, "format", None) is not None:
-        overrides["fmt"] = args.format
-    if getattr(args, "output", None) is not None:
-        overrides["output"] = args.output
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "tol", None) is not None:
-        overrides["tol"] = args.tol
-    return replace(cfg, **overrides) if overrides else cfg
+    # a flag a subcommand lacks, or leaves unset, keeps the config value
+    flags = {"fmt": "format", "output": "output", "seed": "seed", "tol": "tol"}
+    given = {f: getattr(args, a, None) for f, a in flags.items()}
+    return replace(cfg, **{f: x for f, x in given.items() if x is not None})
 
 
 def parse_state(spec: str):
@@ -141,6 +127,7 @@ def _emit_json(payload, cfg: RunConfig) -> None:
 
 
 def _csv(header: str, rows: list[list]) -> str:
+    # cells must be Python scalars: numpy 2 reprs a float64 as np.float64(...)
     def cell(x) -> str:
         if isinstance(x, bool):
             return "true" if x else "false"
@@ -157,14 +144,14 @@ def cmd_tensor(args: argparse.Namespace, cfg: RunConfig) -> int:
     if cfg.fmt == "json":
         _emit_json(tensor.tensor_to_json(t), cfg)
     else:
-        _emit(tensor.tensor_to_csv(t), cfg)
+        _emit(_csv(TENSOR_CSV_HEADER, [t.ravel().tolist()]), cfg)
     return EXIT_OK
 
 
 def cmd_criterion(args: argparse.Namespace, cfg: RunConfig) -> int:
     report = criteria.evaluate_ri_criterion(tensor.compute_tensor(parse_state(args.state)))
     if cfg.fmt == "json":
-        _emit_json(report.to_json(), cfg)
+        _emit_json(asdict(report), cfg)
     else:
         header = "lhs,rhs,margin,violated,threshold_criterion,threshold_prior_two_setting"
         row = [
@@ -209,7 +196,7 @@ def cmd_chsh(args: argparse.Namespace, cfg: RunConfig) -> int:
     plane = (int(args.plane[0]), int(args.plane[1]))
     report = criteria.chsh_complete_set(tensor.compute_tensor(parse_state(args.state)), plane)
     if cfg.fmt == "json":
-        _emit_json(report.to_json(), cfg)
+        _emit_json(asdict(report), cfg)
     else:
         header = "plane,value_1,value_2,value_3,value_4,bound,max_value,satisfied"
         row = [args.plane, *report.values, report.bound, report.max_value, report.satisfied]
@@ -233,9 +220,10 @@ def cmd_lhv(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
     verdicts = lhv.verdict_sweep(args.v_min, args.v_max, args.steps)
     if cfg.fmt == "json":
-        _emit_json([v.to_json() for v in verdicts], cfg)
+        _emit_json([asdict(v) for v in verdicts], cfg)
     else:
-        _emit(lhv.sweep_to_csv(verdicts), cfg)
+        rows = [[v.v, v.criterion_margin, v.consistent] for v in verdicts]
+        _emit(_csv(SWEEP_CSV_HEADER, rows), cfg)
     return EXIT_OK
 
 
@@ -304,10 +292,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = _resolve_config(args)
         return args.handler(args, cfg)
-    except (DomainError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

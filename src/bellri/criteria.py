@@ -23,7 +23,6 @@ from typing import Any, Optional
 import numpy as np
 
 from .errors import DomainError
-from .states import validate_density_matrix
 from .tensor import as_tensor, compute_tensor, frobenius_sum, tensor_max_svd
 
 CRITERION_FACTOR = 2.25  # (3/2)^2
@@ -58,15 +57,6 @@ class CriterionReport:
     margin: float
     comparison_thresholds: tuple[float, float] = COMPARISON_THRESHOLDS
 
-    def to_json(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "violated": self.violated,
-            "margin": self.margin,
-            "comparison_thresholds": list(self.comparison_thresholds),
-        }
-
 
 @dataclass(frozen=True)
 class ChshReport:
@@ -77,15 +67,6 @@ class ChshReport:
     bound: float
     max_value: float
     satisfied: bool
-
-    def to_json(self) -> dict:
-        return {
-            "plane": list(self.plane),
-            "values": list(self.values),
-            "bound": self.bound,
-            "max_value": self.max_value,
-            "satisfied": self.satisfied,
-        }
 
 
 @dataclass(frozen=True)
@@ -110,14 +91,6 @@ class BoundReport:
     rhs: float
     satisfied: bool
     margin: float
-
-    def to_json(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "satisfied": self.satisfied,
-            "margin": self.margin,
-        }
 
 
 def evaluate_ri_criterion(t: Any) -> CriterionReport:
@@ -174,15 +147,19 @@ def critical_visibility(pure_state: Any, noise: Any, tol: float) -> Optional[flo
     "violates at v = 1"). Valid whenever the margin changes sign once on the
     interval, which holds for mixtures whose noise tensor vanishes: there the
     margin is ``a*v^2 - b*v`` with a single positive crossing.
+
+    The tensor is linear in the state, so the mixture's tensor is the same
+    mixture ``v*T_pure + (1-v)*T_noise`` of the endpoint tensors; each
+    endpoint is validated once and the bisection works on 3x3 tensors only.
     """
     tol = float(tol)
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    pure = validate_density_matrix(pure_state)
-    mixed = validate_density_matrix(noise)
+    t_pure = compute_tensor(pure_state)
+    t_noise = compute_tensor(noise)
 
     def violated_at(v: float) -> bool:
-        return evaluate_ri_criterion(compute_tensor(v * pure + (1.0 - v) * mixed)).violated
+        return evaluate_ri_criterion(v * t_pure + (1.0 - v) * t_noise).violated
 
     if violated_at(0.0):
         raise DomainError("criterion is already violated at zero visibility")
@@ -248,29 +225,3 @@ def ri_bound_check(t: Any, q: QuadratureSpec = QuadratureSpec()) -> BoundReport:
         satisfied=lhs <= rhs + BOUND_SLACK,
         margin=lhs - rhs,
     )
-
-
-def visibility_scan(
-    pure_state: Any, noise: Any, visibilities: Any
-) -> list[tuple[float, CriterionReport]]:
-    """Criterion reports for mixtures ``v*pure + (1-v)*noise`` along ``visibilities``."""
-    pure = validate_density_matrix(pure_state)
-    mixed = validate_density_matrix(noise)
-    out = []
-    for v in visibilities:
-        v = float(v)
-        report = evaluate_ri_criterion(compute_tensor(v * pure + (1.0 - v) * mixed))
-        out.append((v, report))
-    return out
-
-
-SCAN_CSV_HEADER = "V,lhs,rhs,margin,violated"
-
-
-def scan_to_csv(scan: list[tuple[float, CriterionReport]]) -> str:
-    """CSV rows (V, lhs, rhs, margin, violated) for a visibility scan."""
-    lines = [SCAN_CSV_HEADER]
-    for v, rep in scan:
-        flag = "true" if rep.violated else "false"
-        lines.append(f"{v!r},{rep.lhs!r},{rep.rhs!r},{rep.margin!r},{flag}")
-    return "\n".join(lines) + "\n"

@@ -76,14 +76,6 @@ class ConsistencyVerdict:
     consistent: bool
     explanation_code: str
 
-    def to_json(self) -> dict:
-        return {
-            "v": self.v,
-            "criterion_margin": self.criterion_margin,
-            "consistent": self.consistent,
-            "explanation_code": self.explanation_code,
-        }
-
 
 def build_model(
     v: float, r1: Any = None, r2: Any = None
@@ -242,15 +234,3 @@ def verdict_sweep(v_min: float, v_max: float, steps: int) -> list[ConsistencyVer
     else:
         grid = np.linspace(v_min, v_max, steps).tolist()
     return [consistency_verdict(v) for v in grid]
-
-
-SWEEP_CSV_HEADER = "v,margin,consistent"
-
-
-def sweep_to_csv(verdicts: list[ConsistencyVerdict]) -> str:
-    """CSV rows (v, margin, consistent) for a verdict sweep."""
-    lines = [SWEEP_CSV_HEADER]
-    for ver in verdicts:
-        flag = "true" if ver.consistent else "false"
-        lines.append(f"{ver.v!r},{ver.criterion_margin!r},{flag}")
-    return "\n".join(lines) + "\n"

@@ -24,6 +24,7 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
+UNITARITY_TOL = 1e-12
 
 
 def require_visibility(v: float) -> float:
@@ -34,15 +35,25 @@ def require_visibility(v: float) -> float:
     return v
 
 
+def require_finite(a: np.ndarray, what: str) -> np.ndarray:
+    """Return ``a``, or raise :class:`ValidationError` if an entry is NaN or inf."""
+    # every comparison with NaN is False, so tolerance tests alone let NaN through
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{what} has a non-finite (NaN or inf) entry")
+    return a
+
+
 def validate_density_matrix(rho: Any) -> np.ndarray:
     """Return ``rho`` as a complex array after checking its invariants.
 
     Raises :class:`ValidationError` naming the first violated invariant:
-    shape, hermiticity, unit trace, or positive semidefiniteness.
+    shape, finite entries, hermiticity, unit trace, or positive
+    semidefiniteness.
     """
     m = np.asarray(rho, dtype=complex)
     if m.shape != (4, 4):
         raise ValidationError(f"expected a 4x4 density matrix, got shape {m.shape}")
+    require_finite(m, "density matrix")
     herm = float(np.max(np.abs(m - m.conj().T)))
     if herm > HERMITICITY_TOL:
         raise ValidationError(f"matrix is not Hermitian: max |M - M^dag| = {herm:.3e}")
@@ -91,18 +102,25 @@ def random_unitary_2x2(seed: int) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
+def require_unitary(u: Any, tol: float = UNITARITY_TOL) -> np.ndarray:
+    """Return ``u`` as a complex 2x2 array after checking ``max |U^dag U - I| <= tol``."""
+    uu = np.asarray(u, dtype=complex)
+    if uu.shape != (2, 2):
+        raise DomainError(f"expected a 2x2 unitary, got shape {uu.shape}")
+    require_finite(uu, "unitary")
+    unitarity = float(np.max(np.abs(uu.conj().T @ uu - np.eye(2))))
+    if unitarity > tol:
+        raise DomainError(f"matrix is not unitary: max |U^dag U - I| = {unitarity:.3e}")
+    return uu
+
+
 def check_uu_invariance(rho: Any, u: Any, tol: float) -> bool:
     """Whether ``rho`` is unchanged by conjugation with ``u (x) u``.
 
     Returns True iff ``max |(U(x)U)^dag rho (U(x)U) - rho| <= tol`` entrywise.
     """
     m = validate_density_matrix(rho)
-    uu = np.asarray(u, dtype=complex)
-    if uu.shape != (2, 2):
-        raise DomainError(f"expected a 2x2 unitary, got shape {uu.shape}")
-    unitarity = float(np.max(np.abs(uu.conj().T @ uu - np.eye(2))))
-    if unitarity > max(float(tol), 1e-12):
-        raise DomainError(f"matrix is not unitary: max |U^dag U - I| = {unitarity:.3e}")
+    uu = require_unitary(u, max(float(tol), UNITARITY_TOL))
     big = np.kron(uu, uu)
     delta = float(np.max(np.abs(big.conj().T @ m @ big - m)))
     return delta <= tol
@@ -128,14 +146,22 @@ def matrix_from_json(payload: Any) -> np.ndarray:
     try:
         rows = int(payload["rows"])
         cols = int(payload["cols"])
-        entries = payload["entries"]
-    except (TypeError, KeyError) as exc:
+        entries = list(payload["entries"])
+    except KeyError as exc:
         raise ValidationError(f"matrix payload is missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed matrix payload: {exc}") from exc
     if rows <= 0 or cols <= 0:
         raise ValidationError(f"matrix dimensions must be positive, got {rows}x{cols}")
     if len(entries) != rows * cols:
         raise ValidationError(
             f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
         )
-    flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
+    flat = np.empty(rows * cols, dtype=complex)
+    for k, entry in enumerate(entries):
+        try:
+            re, im = entry
+            flat[k] = complex(re, im)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"entry {k} must be a [re, im] pair, got {entry!r}") from exc
     return flat.reshape(rows, cols)

@@ -17,26 +17,28 @@ from typing import Any
 import numpy as np
 
 from .errors import DomainError
-from .states import PAULIS, validate_density_matrix
+from .states import PAULIS, require_finite, require_unitary, validate_density_matrix
 
 ROTATION_TOL = 1e-12
 UNIT_NORM_TOL = 1e-12
 IMAG_RESIDUE_TOL = 1e-12
 
-# observables sigma_i (x) sigma_j at the nine pairs of local axes
-_AXIS_OBSERVABLES = tuple(
-    tuple(np.kron(si, sj) for sj in PAULIS) for si in PAULIS
-)
+# Tr(M O) = vec(M) . vec(O^T) with row-major vec, so row 3i + j holding
+# vec((sigma_i (x) sigma_j)^T) maps vec(M) to the nine axis-pair expectations
+_PAULI_ROWS = np.array([np.kron(si, sj).T.ravel() for si in PAULIS for sj in PAULIS])
 
 
-def _real_part(z: complex, context: str) -> float:
-    # expectation values of Hermitian observables are real analytically;
-    # anything beyond rounding noise signals a corrupted input
-    if abs(z.imag) > IMAG_RESIDUE_TOL:
-        raise ArithmeticError(
-            f"imaginary residue {z.imag:.3e} in {context} exceeds {IMAG_RESIDUE_TOL}"
+def _pauli_expectations(m: np.ndarray) -> np.ndarray:
+    """The 3x3 array ``Tr(m sigma_i (x) sigma_j)`` of a 4x4 operand with real traces."""
+    z = _PAULI_ROWS @ m.ravel()
+    # the traces are real analytically; anything beyond rounding noise
+    # signals an input that only barely passed its hermiticity check
+    residue = float(np.max(np.abs(z.imag)))
+    if residue > IMAG_RESIDUE_TOL:
+        raise DomainError(
+            f"imaginary residue {residue:.3e} in Pauli expectations exceeds {IMAG_RESIDUE_TOL}"
         )
-    return float(z.real)
+    return z.real.reshape(3, 3)
 
 
 def unit_vector(n: Any) -> np.ndarray:
@@ -44,6 +46,7 @@ def unit_vector(n: Any) -> np.ndarray:
     v = np.asarray(n, dtype=float)
     if v.shape != (3,):
         raise DomainError(f"expected a 3-vector, got shape {v.shape}")
+    require_finite(v, "vector")
     if abs(float(v @ v) - 1.0) > UNIT_NORM_TOL:
         raise DomainError(f"vector is not unit length: |n|^2 = {float(v @ v)!r}")
     return v
@@ -62,6 +65,7 @@ def validate_rotation(r: Any) -> np.ndarray:
     a = np.asarray(r, dtype=float)
     if a.shape != (3, 3):
         raise DomainError(f"expected a 3x3 rotation matrix, got shape {a.shape}")
+    require_finite(a, "rotation matrix")
     ortho = float(np.max(np.abs(a.T @ a - np.eye(3))))
     if ortho > ROTATION_TOL:
         raise DomainError(f"matrix is not orthogonal: max |R^T R - I| = {ortho:.3e}")
@@ -93,19 +97,13 @@ def correlation_value(rho: Any, n1: Any, n2: Any) -> float:
     v2 = unit_vector(n2)
     a1 = sum(v1[k] * PAULIS[k] for k in range(3))
     a2 = sum(v2[k] * PAULIS[k] for k in range(3))
-    return _real_part(complex(np.trace(m @ np.kron(a1, a2))), "correlation value")
+    # rho and a1 (x) a2 are Hermitian, so the trace is real up to rounding
+    return float(np.trace(m @ np.kron(a1, a2)).real)
 
 
 def compute_tensor(rho: Any) -> np.ndarray:
     """Correlation values at the nine pairs of local Cartesian axes."""
-    m = validate_density_matrix(rho)
-    t = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            t[i, j] = _real_part(
-                complex(np.trace(m @ _AXIS_OBSERVABLES[i][j])), "tensor entry"
-            )
-    return t
+    return _pauli_expectations(validate_density_matrix(rho))
 
 
 def evaluate_via_tensor(t: Any, n1: Any, n2: Any) -> float:
@@ -221,20 +219,11 @@ def rotation_from_unitary(u: Any) -> np.ndarray:
     Defined by ``U sigma_j U^dag = sum_i R_ij sigma_i``; any global phase of
     ``u`` cancels in the conjugation.
     """
-    uu = np.asarray(u, dtype=complex)
-    if uu.shape != (2, 2):
-        raise DomainError(f"expected a 2x2 unitary, got shape {uu.shape}")
-    unitarity = float(np.max(np.abs(uu.conj().T @ uu - np.eye(2))))
-    if unitarity > 1e-12:
-        raise DomainError(f"matrix is not unitary: max |U^dag U - I| = {unitarity:.3e}")
-    r = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            r[i, j] = 0.5 * _real_part(
-                complex(np.trace(PAULIS[i] @ uu @ PAULIS[j] @ uu.conj().T)),
-                "rotation entry",
-            )
-    return r
+    uu = require_unitary(u)
+    # Tr(sigma_i U sigma_j U^dag) = Tr(M sigma_i (x) sigma_j) for the 4x4
+    # M[(b, d), (a, c)] = U[b, c] conj(U[a, d])
+    m = np.einsum("bc,ad->bdac", uu, uu.conj()).reshape(4, 4)
+    return 0.5 * _pauli_expectations(m)
 
 
 def tensor_to_json(t: Any) -> dict:
@@ -249,12 +238,3 @@ def tensor_from_json(payload: Any) -> np.ndarray:
     except (TypeError, KeyError) as exc:
         raise DomainError(f"tensor payload is missing field {exc}") from exc
     return as_tensor(rows)
-
-
-TENSOR_CSV_HEADER = "T11,T12,T13,T21,T22,T23,T31,T32,T33"
-
-
-def tensor_to_csv(t: Any) -> str:
-    """Single-row CSV with the nine labeled entries in row-major order."""
-    row = ",".join(repr(float(x)) for x in as_tensor(t).ravel())
-    return f"{TENSOR_CSV_HEADER}\n{row}\n"

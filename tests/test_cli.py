@@ -16,6 +16,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def write_state(path, entries):
+    path.write_text(json.dumps({"rows": 4, "cols": 4, "entries": entries}))
+    return f"file:{path}"
+
+
+def assert_one_line_error(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestTensorCommand:
     def test_werner_json(self, capsys):
         code, out, _ = run(capsys, "tensor", "--state", "werner:0.8", "--format", "json")
@@ -34,6 +44,43 @@ class TestTensorCommand:
         lines = out.strip().split("\n")
         assert lines[0].startswith("T11,")
         assert lines[1].split(",")[0] == "-1.0"
+
+    def test_csv_layout(self, tmp_path, capsys):
+        # |0> (x) (|0> + |1>)/sqrt(2): T31 = <sigma_z><sigma_x> = 1, T13 = 0
+        ket = np.array([1.0, 1.0, 0.0, 0.0])
+        state = write_state(tmp_path / "s.json", matrix_to_json(np.outer(ket, ket) / 2.0)["entries"])
+        code, out, _ = run(capsys, "tensor", "--state", state, "--format", "csv")
+        assert code == 0
+        header, row = out.strip().split("\n")
+        assert header == "T11,T12,T13,T21,T22,T23,T31,T32,T33"
+        cells = row.split(",")
+        assert cells[6] == "1.0" and cells[2] == "0.0"  # row-major order
+
+    @pytest.mark.parametrize("command", ["tensor", "criterion"])
+    def test_non_finite_entry_exits_2(self, tmp_path, capsys, command):
+        entries = matrix_to_json(make_werner(0.5))["entries"]
+        entries[0][1] = math.nan
+        state = write_state(tmp_path / "nan.json", entries)
+        code, out, err = run(capsys, command, "--state", state)
+        assert_one_line_error(code, out, err)
+        assert "non-finite" in err
+
+    def test_flat_entries_exit_2(self, tmp_path, capsys):
+        state = write_state(tmp_path / "flat.json", np.eye(4).ravel().tolist())
+        code, out, err = run(capsys, "tensor", "--state", state)
+        assert_one_line_error(code, out, err)
+        assert "entry 0" in err
+
+    def test_barely_hermitian_exits_2(self, tmp_path, capsys):
+        # passes the 1e-12 hermiticity check, but the traces keep an
+        # imaginary residue of about 2e-12
+        entries = matrix_to_json(make_werner(0.5))["entries"]
+        for k in (3, 12, 6, 9):  # (0,3), (3,0), (1,2), (2,1)
+            entries[k][1] += 0.49e-12
+        state = write_state(tmp_path / "barely.json", entries)
+        code, out, err = run(capsys, "tensor", "--state", state)
+        assert_one_line_error(code, out, err)
+        assert "imaginary residue" in err
 
     def test_invalid_file_names_trace(self, tmp_path, capsys):
         bad = np.eye(4, dtype=complex)  # trace 4
@@ -167,6 +214,14 @@ class TestLhvCommand:
 
 
 class TestSweepCommand:
+    def test_csv_layout(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--steps", "5", "--format", "csv")
+        lines = out.strip().split("\n")
+        assert lines[0] == "v,margin,consistent"
+        assert len(lines) == 6
+        assert lines[1].endswith(",true")
+        assert lines[5].endswith(",false")
+
     def test_single_transition(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "--v-min", "0", "--v-max", "1", "--steps", "101", "--format", "csv"
@@ -255,6 +310,12 @@ class TestConfigAndDeterminism:
         cfg.write_text("frmat=csv\n")
         code, _, err = run(capsys, "tensor", "--state", "werner:0.5", "--config", str(cfg))
         assert code == 2 and "unknown config key" in err
+
+    def test_rejects_retired_resolution_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("quad_theta=8\n")
+        code, _, err = run(capsys, "tensor", "--state", "werner:0.5", "--config", str(cfg))
+        assert code == 2 and "unknown config key 'quad_theta'" in err
 
     def test_rejects_bad_config_value(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -21,8 +21,6 @@ from bellri import (
     random_rotation_pair,
     ri_bound_check,
     rotate_tensor,
-    scan_to_csv,
-    visibility_scan,
 )
 
 
@@ -142,6 +140,18 @@ class TestCriticalVisibility:
         # two bracket probes plus ceil(log2(1/tol)) = 10 bisection steps
         assert calls["n"] <= 12 + 2
 
+    def test_validates_each_endpoint_once(self, monkeypatch):
+        calls = {"n": 0}
+        original = bellri.tensor.validate_density_matrix
+
+        def counting(rho):
+            calls["n"] += 1
+            return original(rho)
+
+        monkeypatch.setattr(bellri.tensor, "validate_density_matrix", counting)
+        critical_visibility(make_singlet(), maximally_mixed(), 1e-9)
+        assert calls["n"] == 2
+
     def test_rejects_bad_tolerance(self):
         with pytest.raises(DomainError, match="tolerance"):
             critical_visibility(make_singlet(), maximally_mixed(), 0.0)
@@ -211,20 +221,3 @@ class TestRiBoundCheck:
             quad = ri_bound_check(t, q)
             if abs(alg.margin) > 1e-6:
                 assert alg.violated == (not quad.satisfied)
-
-
-class TestVisibilityScan:
-    def test_rows_and_csv(self):
-        vs = [0.0, 0.5, 0.9]
-        scan = visibility_scan(make_singlet(), maximally_mixed(), vs)
-        assert [v for v, _ in scan] == vs
-        assert not scan[1][1].violated and scan[2][1].violated
-        text = scan_to_csv(scan)
-        lines = text.strip().split("\n")
-        assert lines[0] == "V,lhs,rhs,margin,violated"
-        assert lines[1].startswith("0.0,")
-        assert lines[3].endswith(",true")
-
-    def test_margin_column_frozen_at_090(self):
-        scan = visibility_scan(make_singlet(), maximally_mixed(), [0.9])
-        assert abs(scan[0][1].margin - 0.405) <= 1e-12

@@ -19,7 +19,6 @@ from bellri import (
     piecewise_correlation,
     random_rotation,
     sample,
-    sweep_to_csv,
     verdict_sweep,
 )
 from bellri.lhv import CONSISTENT, RI_VIOLATED
@@ -228,14 +227,6 @@ class TestConsistencyVerdict:
 
 
 class TestVerdictSweep:
-    def test_csv_layout(self):
-        text = sweep_to_csv(verdict_sweep(0.0, 1.0, 5))
-        lines = text.strip().split("\n")
-        assert lines[0] == "v,margin,consistent"
-        assert len(lines) == 6
-        assert lines[1].endswith(",true")
-        assert lines[5].endswith(",false")
-
     def test_all_consistent_below_half(self):
         assert all(v.consistent for v in verdict_sweep(0.0, 0.5, 26))
 

@@ -77,6 +77,13 @@ class TestValidation:
         with pytest.raises(ValidationError, match="trace"):
             validate_density_matrix(np.eye(4, dtype=complex))
 
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.25, math.nan), math.inf])
+    def test_rejects_non_finite(self, bad):
+        m = make_werner(0.5)
+        m[0, 0] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            validate_density_matrix(m)
+
     def test_rejects_negative_eigenvalue(self):
         m = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValidationError, match="positive semidefinite"):
@@ -121,6 +128,10 @@ class TestUuInvariance:
         with pytest.raises(DomainError, match="unitary"):
             check_uu_invariance(make_werner(0.5), np.ones((2, 2)), 1e-10)
 
+    def test_rejects_nan_unitary(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            check_uu_invariance(make_werner(0.5), np.full((2, 2), math.nan), 1e-10)
+
 
 class TestJsonCodec:
     def test_round_trip(self):
@@ -139,6 +150,10 @@ class TestJsonCodec:
     def test_rejects_entry_count_mismatch(self):
         with pytest.raises(ValidationError, match="entries"):
             matrix_from_json({"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]})
+
+    def test_rejects_flat_entries(self):
+        with pytest.raises(ValidationError, match=r"entry 0 must be a \[re, im\] pair"):
+            matrix_from_json({"rows": 2, "cols": 2, "entries": [1.0, 0.0, 0.0, 1.0]})
 
     def test_rejects_missing_field(self):
         with pytest.raises(ValidationError):

@@ -21,10 +21,10 @@ from bellri import (
     tensor_from_json,
     tensor_max_grid,
     tensor_max_svd,
-    tensor_to_csv,
     tensor_to_json,
     to_unit_vector,
 )
+from bellri.tensor import unit_vector
 
 SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -117,6 +117,11 @@ class TestCorrelationValue:
         with pytest.raises(DomainError, match="unit"):
             correlation_value(make_werner(0.5), [1.0, 1.0, 0.0], [0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_vector(self, bad):
+        with pytest.raises(DomainError, match="non-finite"):
+            unit_vector([bad, 0.0, 0.0])
+
 
 class TestComputeTensor:
     @pytest.mark.parametrize("v", [0.0, 0.3, 0.8, 1.0])
@@ -141,6 +146,32 @@ class TestComputeTensor:
         for _ in range(10):
             rho = random_density_matrix(rng)
             assert np.max(np.abs(compute_tensor(rho) - tensor_by_direct_traces(rho))) <= 1e-13
+
+    def test_bit_identical_to_trace_oracle_on_pinned_families(self):
+        # the row map adds the same four nonzero products in the same order
+        # as the trace of rho (sigma_i (x) sigma_j), so these families keep
+        # every bit of the printed tensors
+        kets = [np.eye(4)[k] for k in range(4)] + [
+            np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0),
+            np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0),
+        ]
+        states = [make_werner(v) for v in np.linspace(0.0, 1.0, 101)]
+        states += [make_singlet(), maximally_mixed()]
+        states += [np.outer(k, k).astype(complex) for k in kets]
+        for rho in states:
+            t = compute_tensor(rho)
+            oracle = tensor_by_direct_traces(rho)
+            assert np.array_equal(t, oracle)
+            assert np.array_equal(np.signbit(t), np.signbit(oracle))
+
+    def test_rejects_imaginary_residue(self):
+        # within the 1e-12 hermiticity tolerance, but Tr(rho sigma_x (x) sigma_y)
+        # picks up an imaginary part of about 2e-12
+        rho = make_werner(0.5)
+        for i, j in ((0, 3), (3, 0), (1, 2), (2, 1)):
+            rho[i, j] += 0.49e-12j
+        with pytest.raises(DomainError, match="imaginary residue"):
+            compute_tensor(rho)
 
     def test_entries_within_unit_interval(self):
         rng = np.random.default_rng(12)
@@ -193,6 +224,10 @@ class TestRotateTensor:
         t = random_tensor(rng)
         r1, r2 = random_rotation_pair(seed)
         assert abs(frobenius_sum(rotate_tensor(t, r1, r2)) - frobenius_sum(t)) <= 1e-10
+
+    def test_rejects_nan_rotation(self):
+        with pytest.raises(DomainError, match="non-finite"):
+            rotate_tensor(np.eye(3), np.full((3, 3), np.nan), np.eye(3))
 
     def test_rejects_non_rotation(self):
         with pytest.raises(DomainError, match="orthogonal"):
@@ -296,6 +331,14 @@ class TestRotations:
         assert np.max(np.abs(rotation_from_unitary(np.eye(2)) - np.eye(3))) <= 1e-15
 
     @pytest.mark.parametrize("seed", range(5))
+    def test_rotation_from_unitary_against_trace_oracle(self, seed):
+        u = random_unitary_2x2(seed)
+        oracle = np.array(
+            [[0.5 * np.trace(a @ u @ b @ u.conj().T).real for b in SIGMA] for a in SIGMA]
+        )
+        assert np.max(np.abs(rotation_from_unitary(u) - oracle)) <= 1e-14
+
+    @pytest.mark.parametrize("seed", range(5))
     def test_rotation_from_unitary_is_proper(self, seed):
         r = rotation_from_unitary(random_unitary_2x2(seed))
         assert np.max(np.abs(r.T @ r - np.eye(3))) <= 1e-12
@@ -311,9 +354,3 @@ class TestSerialization:
         payload = tensor_to_json(compute_tensor(make_singlet()))
         assert list(payload) == ["t"]
         assert len(payload["t"]) == 3 and all(len(row) == 3 for row in payload["t"])
-
-    def test_csv_layout(self):
-        text = tensor_to_csv(np.arange(9.0).reshape(3, 3) / 10.0)
-        lines = text.strip().split("\n")
-        assert lines[0] == "T11,T12,T13,T21,T22,T23,T31,T32,T33"
-        assert lines[1].split(",")[3] == "0.3"  # row-major: T21 is the fourth column
