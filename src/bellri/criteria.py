@@ -23,7 +23,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .errors import DomainError
-from .tensor import as_tensor, compute_tensor, frobenius_sum, tensor_max_svd
+from .tensor import as_tensor, compute_tensor, tensor_max_svd
 
 CRITERION_FACTOR = 2.25  # (3/2)^2
 CHSH_BOUND = 2.0
@@ -93,6 +93,13 @@ class BoundReport:
     margin: float
 
 
+def _criterion(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Left side, right side and violation flag on a ``(..., 3, 3)`` stack of tensors."""
+    lhs = (t * t).sum(axis=(-2, -1))
+    rhs = CRITERION_FACTOR * np.linalg.svd(t, compute_uv=False)[..., 0]
+    return lhs, rhs, lhs > rhs + EQUALITY_SLACK
+
+
 def evaluate_ri_criterion(t: Any) -> CriterionReport:
     """Rotationally invariant criterion: squared-entry sum vs (3/2)^2 T_max.
 
@@ -101,14 +108,12 @@ def evaluate_ri_criterion(t: Any) -> CriterionReport:
     the nominal maximization over frames on the left side is a no-op and the
     plain sums are reported.
     """
-    a = as_tensor(t)
-    lhs = frobenius_sum(a)
-    rhs = CRITERION_FACTOR * tensor_max_svd(a)
+    lhs, rhs, violated = _criterion(as_tensor(t))
     return CriterionReport(
-        lhs=lhs,
-        rhs=rhs,
-        violated=lhs > rhs + EQUALITY_SLACK,
-        margin=lhs - rhs,
+        lhs=float(lhs),
+        rhs=float(rhs),
+        violated=bool(violated),
+        margin=float(lhs - rhs),
     )
 
 
@@ -141,7 +146,8 @@ def chsh_complete_set(t: Any, plane: tuple[int, int]) -> ChshReport:
 def critical_visibility(pure_state: Any, noise: Any, tol: float) -> Optional[float]:
     """Visibility where ``v*pure + (1-v)*noise`` starts violating the criterion.
 
-    Bisects the satisfied/violated transition on [0, 1] to within ``tol`` and
+    Bisects the satisfied/violated transition on [0, 1] to within ``tol`` (or
+    to two adjacent doubles, when ``tol`` is finer than their spacing) and
     returns the transition visibility, or None when no ``v <= 1`` violates
     (so "violates only beyond physical visibility" is distinguishable from
     "violates at v = 1"). Valid whenever the margin changes sign once on the
@@ -168,6 +174,8 @@ def critical_visibility(pure_state: Any, noise: Any, tol: float) -> Optional[flo
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent doubles; no narrower bracket exists
         if violated_at(mid):
             hi = mid
         else:

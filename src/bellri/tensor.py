@@ -29,8 +29,13 @@ _PAULI_ROWS = np.array([np.kron(si, sj).T.ravel() for si in PAULIS for sj in PAU
 
 
 def _pauli_expectations(m: np.ndarray) -> np.ndarray:
-    """The 3x3 array ``Tr(m sigma_i (x) sigma_j)`` of a 4x4 operand with real traces."""
-    z = _PAULI_ROWS @ m.ravel()
+    """The 3x3 arrays ``Tr(m sigma_i (x) sigma_j)`` of a ``(..., 4, 4)`` stack with real traces.
+
+    A single 4x4 operand is the stack of one. Every operand goes through the
+    same (9, 16) @ (16, 1) product, so a stacked entry carries the same bits
+    as the entry computed alone.
+    """
+    z = _PAULI_ROWS @ m.reshape(-1, 16, 1)
     # the traces are real analytically; anything beyond rounding noise
     # signals an input that only barely passed its hermiticity check
     residue = float(np.max(np.abs(z.imag)))
@@ -38,7 +43,7 @@ def _pauli_expectations(m: np.ndarray) -> np.ndarray:
         raise DomainError(
             f"imaginary residue {residue:.3e} in Pauli expectations exceeds {IMAG_RESIDUE_TOL}"
         )
-    return z.real.reshape(3, 3)
+    return z.real.reshape(m.shape[:-2] + (3, 3))
 
 
 def unit_vector(n: Any) -> np.ndarray:
@@ -53,11 +58,11 @@ def unit_vector(n: Any) -> np.ndarray:
 
 
 def as_tensor(t: Any) -> np.ndarray:
-    """Return ``t`` as a real 3x3 array."""
+    """Return ``t`` as a real 3x3 array with finite entries."""
     a = np.asarray(t, dtype=float)
     if a.shape != (3, 3):
         raise DomainError(f"expected a 3x3 correlation tensor, got shape {a.shape}")
-    return a
+    return require_finite(a, "correlation tensor")
 
 
 def validate_rotation(r: Any) -> np.ndarray:

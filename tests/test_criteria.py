@@ -65,6 +65,25 @@ class TestRiCriterion:
             evaluate_ri_criterion(t).violated
         )
 
+    def test_stacked_criterion_matches_one_tensor_case(self):
+        rng = np.random.default_rng(7)
+        stack = np.array([random_tensor(rng) for _ in range(200)])
+        lhs, rhs, violated = bellri.criteria._criterion(stack)
+        for k, t in enumerate(stack):
+            rep = evaluate_ri_criterion(t)
+            assert (rep.lhs, rep.rhs, rep.violated) == (lhs[k], rhs[k], violated[k])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_tensor(self, bad):
+        t = np.zeros((3, 3))
+        t[1, 2] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            evaluate_ri_criterion(t)
+
+    def test_rejects_all_nan_tensor(self):
+        with pytest.raises(DomainError, match="non-finite"):
+            evaluate_ri_criterion(np.full((3, 3), np.nan))
+
     def test_margin_single_sign_change_for_werner(self):
         # margin(v) = 3v^2 - 2.25v dips negative before crossing once at 3/4;
         # the single crossing is what validates bisection
@@ -151,6 +170,32 @@ class TestCriticalVisibility:
         monkeypatch.setattr(bellri.tensor, "validate_density_matrix", counting)
         critical_visibility(make_singlet(), maximally_mixed(), 1e-9)
         assert calls["n"] == 2
+
+    def test_tolerance_below_double_spacing_terminates(self, monkeypatch):
+        # near 0.75 adjacent doubles are 2^-53 apart, so a 1e-300 bracket is
+        # unreachable; the bisection must stop at two adjacent doubles
+        calls = {"n": 0}
+        original = bellri.criteria.evaluate_ri_criterion
+
+        def counting(t):
+            calls["n"] += 1
+            if calls["n"] > 200:
+                raise RuntimeError("bisection does not terminate")
+            return original(t)
+
+        monkeypatch.setattr(bellri.criteria, "evaluate_ri_criterion", counting)
+        t_pure = compute_tensor(make_singlet())
+        t_noise = compute_tensor(maximally_mixed())
+
+        def violated_at(v):
+            return original(v * t_pure + (1.0 - v) * t_noise).violated
+
+        v = critical_visibility(make_singlet(), maximally_mixed(), 1e-300)
+        assert calls["n"] <= 2 + 64
+        assert abs(v - 0.75) <= 1e-12
+        # the result is one end of the final bracket of adjacent doubles
+        assert violated_at(np.nextafter(v, 2.0))
+        assert not violated_at(np.nextafter(v, -1.0))
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(DomainError, match="tolerance"):

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bellri
 from bellri import (
     DomainError,
     build_model,
@@ -226,7 +229,49 @@ class TestConsistencyVerdict:
             assert ver.criterion_margin == rep.margin
 
 
+def assert_matches_per_point(verdicts):
+    for ver in verdicts:
+        one = consistency_verdict(ver.v)
+        rep = evaluate_ri_criterion(compute_tensor(make_werner(ver.v)))
+        assert ver == one
+        assert ver.criterion_margin == rep.margin
+        assert np.signbit(ver.criterion_margin) == np.signbit(rep.margin)
+        assert ver.consistent == (not rep.violated)
+
+
 class TestVerdictSweep:
+    @pytest.mark.parametrize("steps", [101, 1001, 1005, 1009, 10001])
+    def test_batch_bit_identical_to_per_point(self, steps):
+        verdicts = verdict_sweep(0.0, 1.0, steps)
+        assert [v.v for v in verdicts] == np.linspace(0.0, 1.0, steps).tolist()
+        assert_matches_per_point(verdicts)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ends=st.tuples(
+            st.floats(0.0, 1.0, allow_subnormal=False),
+            st.floats(0.0, 1.0, allow_subnormal=False),
+        ).map(sorted),
+        steps=st.integers(1, 300),
+    )
+    def test_batch_bit_identical_on_random_ranges(self, ends, steps):
+        verdicts = verdict_sweep(ends[0], ends[1], steps)
+        assert len(verdicts) == steps and verdicts[0].v == ends[0]
+        assert_matches_per_point(verdicts)
+
+    def test_validates_each_endpoint_once(self, monkeypatch):
+        calls = {"n": 0}
+        original = bellri.states.validate_density_matrix
+
+        def counting(rho):
+            calls["n"] += 1
+            return original(rho)
+
+        for module in (bellri, bellri.states, bellri.tensor, bellri.lhv):
+            monkeypatch.setattr(module, "validate_density_matrix", counting)
+        assert len(verdict_sweep(0.0, 1.0, 10001)) == 10001
+        assert calls["n"] == 2
+
     def test_all_consistent_below_half(self):
         assert all(v.consistent for v in verdict_sweep(0.0, 0.5, 26))
 

@@ -24,7 +24,7 @@ from bellri import (
     tensor_to_json,
     to_unit_vector,
 )
-from bellri.tensor import unit_vector
+from bellri.tensor import _pauli_expectations, unit_vector
 
 SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -163,6 +163,22 @@ class TestComputeTensor:
             oracle = tensor_by_direct_traces(rho)
             assert np.array_equal(t, oracle)
             assert np.array_equal(np.signbit(t), np.signbit(oracle))
+
+    def test_stacked_map_matches_per_state_tensors(self):
+        rng = np.random.default_rng(13)
+        rhos = np.array([random_density_matrix(rng) for _ in range(300)])
+        stacked = _pauli_expectations(rhos)
+        assert stacked.shape == (300, 3, 3)
+        for rho, t in zip(rhos, stacked):
+            assert np.array_equal(t, compute_tensor(rho))
+
+    def test_stacked_residue_check_covers_every_state(self):
+        bad = make_werner(0.5)
+        for i, j in ((0, 3), (3, 0), (1, 2), (2, 1)):
+            bad[i, j] += 0.49e-12j
+        stack = np.array([make_werner(v) for v in (0.1, 0.2, 0.3)] + [bad])
+        with pytest.raises(DomainError, match="imaginary residue"):
+            _pauli_expectations(stack)
 
     def test_rejects_imaginary_residue(self):
         # within the 1e-12 hermiticity tolerance, but Tr(rho sigma_x (x) sigma_y)
@@ -349,6 +365,17 @@ class TestSerialization:
     def test_json_round_trip(self):
         t = random_tensor(np.random.default_rng(20))
         assert np.array_equal(tensor_from_json(tensor_to_json(t)), t)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_json_rejects_non_finite_entry(self, bad):
+        rows = [[0.0] * 3 for _ in range(3)]
+        rows[2][0] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            tensor_from_json({"t": rows})
+
+    def test_json_rejects_all_nan_tensor(self):
+        with pytest.raises(DomainError, match="non-finite"):
+            tensor_from_json({"t": [[math.nan] * 3] * 3})
 
     def test_json_shape(self):
         payload = tensor_to_json(compute_tensor(make_singlet()))
