@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -39,8 +40,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.fmt not in ("json", "csv"):
             raise DomainError(f"format must be 'json' or 'csv', got {self.fmt!r}")
-        if not self.tol > 0.0:
-            raise DomainError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise DomainError(f"tol must be positive and finite, got {self.tol}")
 
 
 _CONFIG_PARSERS = {

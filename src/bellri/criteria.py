@@ -159,8 +159,8 @@ def critical_visibility(pure_state: Any, noise: Any, tol: float) -> Optional[flo
     endpoint is validated once and the bisection works on 3x3 tensors only.
     """
     tol = float(tol)
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
     t_pure = compute_tensor(pure_state)
     t_noise = compute_tensor(noise)
 

@@ -20,6 +20,7 @@ search over the continuum of frames is attempted.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -161,25 +162,53 @@ def sample(model: LhvTwoSettingModel, seed: int) -> LhvSample:
     return LhvSample(a=a, b=b)
 
 
+def _whole(x: Any, name: str) -> int:
+    """``x`` as an int; :class:`DomainError` unless it is a finite whole number."""
+    if isinstance(x, numbers.Integral):
+        return int(x)
+    try:
+        f = float(x)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be a whole number, got {x!r}") from exc
+    if not f.is_integer():  # False for NaN and inf as well
+        raise DomainError(f"{name} must be a finite whole number, got {x!r}")
+    return int(f)
+
+
 def estimate_correlation(
     model: LhvTwoSettingModel, i: int, j: int, n: int, seed: int
 ) -> McEstimate:
     """Monte Carlo mean of ``a_i * b_j`` over ``n`` seeded draws (axes 1-indexed)."""
-    i = int(i)
-    j = int(j)
+    i = _whole(i, "axis index i")
+    j = _whole(j, "axis index j")
     if not (1 <= i <= 3 and 1 <= j <= 3):
         raise DomainError(f"axis indices must lie in 1..3, got ({i}, {j})")
-    n = int(n)
+    n = _whole(n, "sample count n")
     if n < 1000:
         raise DomainError(f"need at least 1000 samples, got {n}")
     streams = _axis_streams(seed)
-    a_i = streams[i - 1].integers(0, 2, size=n) * 2 - 1
-    flips = np.where(streams[3 + (j - 1)].random(n) < model.flip_probability, -1, 1)
-    a_j = a_i if i == j else streams[j - 1].integers(0, 2, size=n) * 2 - 1
-    products = a_i * (a_j * flips)
+    # neg marks the draws with a_i * b_j = a_i * a_j * flip_j = -1. On matched
+    # axes a_i * a_i = 1, so no coin is drawn; the streams are independent,
+    # so skipping one changes no other draw. int32 coins take the same values
+    # from a stream as the default int64 draw (int8, uint8 and bool do not)
+    neg = streams[3 + (j - 1)].random(n) < model.flip_probability
+    if i != j:
+        neg ^= (
+            streams[i - 1].integers(0, 2, size=n, dtype=np.int32)
+            != streams[j - 1].integers(0, 2, size=n, dtype=np.int32)
+        )
+    # the products are +-1, so their float sum n - 2k is exact and the mean is
+    # that of the full product array bit for bit. The squared deviations take
+    # two values; summing them with numpy's pairwise reduction over an array in
+    # sample order reproduces std(ddof=1) bit for bit, which neither the closed
+    # form 4k(n-k)/n nor a chunked sum does
+    mean = (n - 2 * int(np.count_nonzero(neg))) / n
+    up = (1.0 - mean) * (1.0 - mean)
+    down = (-1.0 - mean) * (-1.0 - mean)
+    ss = float(np.where(neg, down, up).sum())
     return McEstimate(
-        mean=float(products.mean()),
-        std_error=float(products.std(ddof=1) / math.sqrt(n)),
+        mean=mean,
+        std_error=math.sqrt(ss / (n - 1)) / math.sqrt(n),
         n_samples=n,
     )
 
@@ -240,7 +269,7 @@ def verdict_sweep(v_min: float, v_max: float, steps: int) -> list[ConsistencyVer
     v_max = require_visibility(v_max)
     if v_max < v_min:
         raise DomainError(f"need v_min <= v_max, got [{v_min}, {v_max}]")
-    steps = int(steps)
+    steps = _whole(steps, "step count steps")
     if steps < 1:
         raise DomainError(f"need at least one step, got {steps}")
     return _verdicts(np.linspace(v_min, v_max, steps))

@@ -159,6 +159,14 @@ class TestThresholdCommand:
         assert lines[0].startswith("critical_visibility,status,")
         assert ",ok," in lines[1]
 
+    def test_rejects_infinite_tolerance(self, capsys):
+        code, out, err = run(
+            capsys, "threshold", "--pure", "singlet", "--noise", "white", "--tol", "inf",
+            "--format", "csv",
+        )
+        assert_one_line_error(code, out, err)
+        assert "tol must be positive and finite" in err
+
 
 class TestChshCommand:
     def test_full_visibility(self, capsys):

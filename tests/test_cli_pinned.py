@@ -1,8 +1,10 @@
 """Exact CLI output, byte for byte, for a fixed set of invocations.
 
 The expected texts were recorded from the implementation that evaluated each
-Pauli expectation as a separate trace; any change to the tensor arithmetic,
-the bisection or the serializers that alters a printed digit fails here.
+Pauli expectation as a separate trace, and the lhv texts from the estimator
+that built the full array of +-1 products; any change to the tensor
+arithmetic, the bisection, the sampling or the serializers that alters a
+printed digit fails here.
 """
 
 import hashlib
@@ -89,6 +91,11 @@ LHV_075_11 = """\
 }
 """
 
+LHV_06_23_CSV = """\
+v,i,j,n,mean,std_error,target,pass
+0.6,2,3,100000,-0.00066,0.003162292782927674,0.0,true
+"""
+
 SWEEP_10001_JSON_SHA256 = "1ab96846cffa3fd0d5e0c6a38e6707cfeb6bdf3f2580980e88b381a6b40ac4a3"
 
 
@@ -121,6 +128,11 @@ def stdout_of(capsys, *argv):
         ),
         (["chsh", "--state", "werner:1", "--plane", "12"], CHSH_WERNER_1_PLANE_12),
         (["lhv", "--v", "0.75", "--i", "1", "--j", "1", "--n", "100000", "--seed", "7"], LHV_075_11),
+        (
+            ["lhv", "--v", "0.6", "--i", "2", "--j", "3", "--n", "100000", "--seed", "11",
+             "--format", "csv"],
+            LHV_06_23_CSV,
+        ),
     ],
 )
 def test_pinned_stdout(capsys, argv, expected):

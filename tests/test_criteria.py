@@ -201,6 +201,11 @@ class TestCriticalVisibility:
         with pytest.raises(DomainError, match="tolerance"):
             critical_visibility(make_singlet(), maximally_mixed(), 0.0)
 
+    def test_rejects_infinite_tolerance(self):
+        # an infinite bracket width would return the first midpoint, 0.5
+        with pytest.raises(DomainError, match="finite"):
+            critical_visibility(make_singlet(), maximally_mixed(), math.inf)
+
     def test_rejects_violation_at_zero(self):
         # a state violating at v=0 breaks the bracketing precondition
         rng_free = make_singlet()

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,9 +26,20 @@ from bellri import (
     sample,
     verdict_sweep,
 )
-from bellri.lhv import CONSISTENT, RI_VIOLATED
+from bellri.lhv import CONSISTENT, RI_VIOLATED, _axis_streams
 
 AXES = np.eye(3)
+AXIS_PAIRS = list(itertools.product((1, 2, 3), repeat=2))
+
+
+def reference_estimate(model, i, j, n, seed):
+    """(mean, std_error) from the full arrays of +-1 outcomes and their products."""
+    streams = _axis_streams(seed)
+    a_i = streams[i - 1].integers(0, 2, size=n) * 2 - 1
+    flips = np.where(streams[3 + (j - 1)].random(n) < model.flip_probability, -1, 1)
+    a_j = a_i if i == j else streams[j - 1].integers(0, 2, size=n) * 2 - 1
+    products = a_i * (a_j * flips)
+    return float(products.mean()), float(products.std(ddof=1) / math.sqrt(n))
 
 
 class TestBuildModel:
@@ -116,6 +129,53 @@ class TestEstimateCorrelation:
     def test_rejects_bad_axis(self):
         with pytest.raises(DomainError, match="axis"):
             estimate_correlation(build_model(0.5), 0, 1, 2000, seed=0)
+
+    @pytest.mark.parametrize("arg", ["i", "j", "n"])
+    @pytest.mark.parametrize("bad", [1.5, float("nan"), float("inf")])
+    def test_rejects_non_integral_count(self, arg, bad):
+        args = {"i": 1, "j": 2, "n": 2000}
+        args[arg] = 1000 + bad if arg == "n" else bad
+        with pytest.raises(DomainError, match=f"{arg} must be a"):
+            estimate_correlation(build_model(0.5), seed=0, **args)
+
+    def test_accepts_integral_counts_of_any_type(self):
+        model = build_model(0.5)
+        want = estimate_correlation(model, 2, 3, 2000, seed=4)
+        assert estimate_correlation(model, 2.0, np.int64(3), 2000.0, seed=4) == want
+        assert estimate_correlation(model, np.int32(2), 3.0, np.int64(2000), seed=4) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        v=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        pair=st.sampled_from(AXIS_PAIRS),
+        n=st.integers(1000, 200000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_full_array_reference(self, v, pair, n, seed):
+        model = build_model(v)
+        est = estimate_correlation(model, *pair, n, seed)
+        assert (est.mean, est.std_error) == reference_estimate(model, *pair, n, seed)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("pair", AXIS_PAIRS)
+    def test_bit_identical_to_reference_at_a_million(self, pair, seed):
+        model = build_model(0.75)
+        est = estimate_correlation(model, *pair, 10**6, seed)
+        assert (est.mean, est.std_error) == reference_estimate(model, *pair, 10**6, seed)
+
+    @pytest.mark.parametrize("pair", [(1, 1), (2, 3)])
+    def test_peak_memory_per_sample(self, pair):
+        # one boolean sign array plus one float64 array of squared deviations,
+        # about 10 bytes per sample; int64 outcome arrays would take 8 each
+        n = 200000
+        model = build_model(0.75)
+        tracemalloc.start()
+        try:
+            estimate_correlation(model, *pair, n, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * n
 
     @pytest.mark.parametrize("n", [10**4, 10**5])
     def test_error_scales_as_root_n(self, n):
@@ -282,6 +342,16 @@ class TestVerdictSweep:
     def test_rejects_zero_steps(self):
         with pytest.raises(DomainError):
             verdict_sweep(0.0, 1.0, 0)
+
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf")])
+    def test_rejects_non_integral_steps(self, bad):
+        with pytest.raises(DomainError, match="steps must be a"):
+            verdict_sweep(0.0, 1.0, bad)
+
+    def test_accepts_integral_steps_of_any_type(self):
+        want = verdict_sweep(0.0, 1.0, 3)
+        assert verdict_sweep(0.0, 1.0, 3.0) == want
+        assert verdict_sweep(0.0, 1.0, np.int64(3)) == want
 
     def test_single_step(self):
         out = verdict_sweep(0.3, 0.9, 1)
