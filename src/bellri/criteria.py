@@ -16,6 +16,7 @@ family at every visibility, which is the point the criterion sharpens.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -23,7 +24,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .errors import DomainError
-from .tensor import as_tensor, compute_tensor, tensor_max_svd
+from .tensor import as_tensor, compute_tensor
 
 CRITERION_FACTOR = 2.25  # (3/2)^2
 CHSH_BOUND = 2.0
@@ -67,20 +68,6 @@ class ChshReport:
     bound: float
     max_value: float
     satisfied: bool
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Node counts for the product quadrature on each sphere."""
-
-    n_nodes_theta: int = 8
-    n_nodes_phi: int = 16
-
-    def __post_init__(self) -> None:
-        if self.n_nodes_theta < 4:
-            raise DomainError(f"n_nodes_theta must be at least 4, got {self.n_nodes_theta}")
-        if self.n_nodes_phi < 8:
-            raise DomainError(f"n_nodes_phi must be at least 8, got {self.n_nodes_phi}")
 
 
 @dataclass(frozen=True)
@@ -183,40 +170,52 @@ def critical_visibility(pure_state: Any, noise: Any, tol: float) -> Optional[flo
     return 0.5 * (lo + hi)
 
 
-def _sphere_nodes(spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    # Gauss-Legendre in cos(theta) and the trapezoidal rule at uniform nodes
-    # on the periodic azimuth. The integrand n_i n_j is degree 2 in the
-    # direction vector, so these node counts make the product rule exact.
-    x, w = np.polynomial.legendre.leggauss(spec.n_nodes_theta)
-    phi = np.arange(spec.n_nodes_phi) * (2.0 * math.pi / spec.n_nodes_phi)
+@functools.cache
+def _sphere_nodes(n_theta: int = 8, n_phi: int = 16) -> tuple[np.ndarray, np.ndarray]:
+    """Directions and weights of the product rule on the unit sphere, read-only.
+
+    Gauss-Legendre in cos(theta) and the trapezoidal rule at uniform nodes
+    on the periodic azimuth. The integrand n_i n_j is degree 2 in the
+    direction vector, so the default node counts make the product rule
+    exact. Built on first use, not at import: the rule needs
+    ``numpy.polynomial``, which the CLI otherwise never loads.
+    """
+    x, w = np.polynomial.legendre.leggauss(n_theta)
+    phi = np.arange(n_phi) * (2.0 * math.pi / n_phi)
     sin_t = np.sqrt(1.0 - x * x)
     dirs = np.column_stack(
         [
-            np.repeat(sin_t, spec.n_nodes_phi) * np.tile(np.cos(phi), spec.n_nodes_theta),
-            np.repeat(sin_t, spec.n_nodes_phi) * np.tile(np.sin(phi), spec.n_nodes_theta),
-            np.repeat(x, spec.n_nodes_phi),
+            np.repeat(sin_t, n_phi) * np.tile(np.cos(phi), n_theta),
+            np.repeat(sin_t, n_phi) * np.tile(np.sin(phi), n_theta),
+            np.repeat(x, n_phi),
         ]
     )
-    weights = np.repeat(w, spec.n_nodes_phi) * (2.0 * math.pi / spec.n_nodes_phi)
+    weights = np.repeat(w, n_phi) * (2.0 * math.pi / n_phi)
+    # the cache hands the same arrays to every caller
+    dirs.flags.writeable = False
+    weights.flags.writeable = False
     return dirs, weights
 
 
-def inner_product_ee(t: Any, q: QuadratureSpec = QuadratureSpec()) -> float:
-    """Squared correlation function integrated over both observers' spheres.
-
-    Evaluates ``int dOmega1 int dOmega2 (n1^T T n2)^2`` with the solid-angle
-    measure on each sphere; equals ``(4pi/3)^2 * frobenius_sum(t)``
-    analytically, and the quadrature is exact for this integrand, so node
-    counts beyond the minimum change nothing but rounding. The node sums run
-    in a fixed order, so results are bit-stable across runs.
-    """
-    a = as_tensor(t)
-    dirs, weights = _sphere_nodes(q)
+def _sphere_integral(a: np.ndarray) -> float:
+    dirs, weights = _sphere_nodes()
     values = dirs @ a @ dirs.T
     return float(weights @ (values * values) @ weights)
 
 
-def ri_bound_check(t: Any, q: QuadratureSpec = QuadratureSpec()) -> BoundReport:
+def inner_product_ee(t: Any) -> float:
+    """Squared correlation function integrated over both observers' spheres.
+
+    Evaluates ``int dOmega1 int dOmega2 (n1^T T n2)^2`` with the solid-angle
+    measure on each sphere; equals ``(4pi/3)^2 * sum_ij T_ij^2``
+    analytically, and the quadrature is exact for this integrand, so node
+    counts beyond the minimum change nothing but rounding. The node sums run
+    in a fixed order, so results are bit-stable across runs.
+    """
+    return _sphere_integral(as_tensor(t))
+
+
+def ri_bound_check(t: Any) -> BoundReport:
     """Quadrature form of the criterion: ``(E, E) <= (2pi)^2 * T_max``.
 
     This is the self-consistency specialization in which the correlation
@@ -225,8 +224,8 @@ def ri_bound_check(t: Any, q: QuadratureSpec = QuadratureSpec()) -> BoundReport:
     scale by (4pi/3)^2) and reproduces the same visibility transition.
     """
     a = as_tensor(t)
-    lhs = inner_product_ee(a, q)
-    rhs = (2.0 * math.pi) ** 2 * tensor_max_svd(a)
+    lhs = _sphere_integral(a)
+    rhs = (2.0 * math.pi) ** 2 * float(np.linalg.svd(a, compute_uv=False)[0])
     return BoundReport(
         lhs=lhs,
         rhs=rhs,

@@ -22,16 +22,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
 from .criteria import _criterion
 from .errors import DomainError
 from .states import make_singlet, maximally_mixed, require_visibility, validate_density_matrix
-from .tensor import _pauli_expectations, unit_vector, validate_rotation
-
-AXIS_MATCH_TOL = 1e-9
+from .tensor import _pauli_expectations, validate_rotation
 
 CONSISTENT = "consistent-at-this-visibility"
 RI_VIOLATED = "ri-criterion-violated"
@@ -49,14 +47,6 @@ class LhvTwoSettingModel:
     def flip_probability(self) -> float:
         """Probability that the second outcome opposes the first on a matched axis."""
         return (1.0 + self.v) / 2.0
-
-
-@dataclass(frozen=True)
-class LhvSample:
-    """One draw of the six predetermined outcomes (three axes per observer)."""
-
-    a: tuple[int, int, int]
-    b: tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -92,74 +82,12 @@ def build_model(
     return LhvTwoSettingModel(v=v, r1=rot1, r2=rot2)
 
 
-def exact_correlations(model: LhvTwoSettingModel) -> np.ndarray:
-    """The model's analytic correlations at its nine axis pairs.
-
-    Matched axes: (+1)(1 - p) + (-1) p = 1 - 2p = -v with p the flip
-    probability. Mismatched axes vanish because a_i is a zero-mean coin
-    independent of (a_j, flip_j).
-    """
-    return np.diag([-model.v] * 3)
-
-
-def _axis_index(m: np.ndarray) -> Optional[int]:
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = 1.0
-        if float(np.linalg.norm(m - e)) <= AXIS_MATCH_TOL:
-            return k
-    return None
-
-
-def model_correlation(model: LhvTwoSettingModel, n1: Any, n2: Any) -> Optional[float]:
-    """Correlation the model pins down at a direction pair, or None.
-
-    The model carries outcomes only at the three axes per side (the columns
-    of its frame rotations); direction pairs off those axes are unconstrained
-    and return None.
-    """
-    m1 = model.r1.T @ unit_vector(n1)
-    m2 = model.r2.T @ unit_vector(n2)
-    i = _axis_index(m1)
-    j = _axis_index(m2)
-    if i is None or j is None:
-        return None
-    return -model.v if i == j else 0.0
-
-
-def piecewise_correlation(v: float, n1: Any, n2: Any) -> Optional[float]:
-    """Correlation pinned down by the rotated two-setting family as a whole.
-
-    ``-v`` at equal directions, ``0`` at orthogonal ones, None elsewhere:
-    between those cases the family of rotated models places no constraint.
-    """
-    v = require_visibility(v)
-    u1 = unit_vector(n1)
-    u2 = unit_vector(n2)
-    if float(np.linalg.norm(u1 - u2)) <= AXIS_MATCH_TOL:
-        return -v
-    if abs(float(u1 @ u2)) <= AXIS_MATCH_TOL:
-        return 0.0
-    return None
-
-
 def _axis_streams(seed: int) -> list[np.random.Generator]:
     # six independent child streams: three for the first observer's coins,
     # three for the per-axis flips; the fixed derivation order keeps estimates
     # reproducible regardless of which axes a caller consumes
     children = np.random.SeedSequence(seed).spawn(6)
     return [np.random.default_rng(s) for s in children]
-
-
-def sample(model: LhvTwoSettingModel, seed: int) -> LhvSample:
-    """One deterministic draw of all six outcomes for ``seed``."""
-    streams = _axis_streams(seed)
-    a = tuple(int(2 * streams[k].integers(0, 2) - 1) for k in range(3))
-    p = model.flip_probability
-    b = tuple(
-        -a[k] if float(streams[3 + k].random()) < p else a[k] for k in range(3)
-    )
-    return LhvSample(a=a, b=b)
 
 
 def _whole(x: Any, name: str) -> int:
@@ -186,6 +114,9 @@ def estimate_correlation(
     n = _whole(n, "sample count n")
     if n < 1000:
         raise DomainError(f"need at least 1000 samples, got {n}")
+    seed = _whole(seed, "seed")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     streams = _axis_streams(seed)
     # neg marks the draws with a_i * b_j = a_i * a_j * flip_j = -1. On matched
     # axes a_i * a_i = 1, so no coin is drawn; the streams are independent,

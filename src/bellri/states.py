@@ -1,4 +1,4 @@
-"""Two-qubit density matrices: the singlet, its noisy mixtures, symmetry checks.
+"""Two-qubit density matrices: the singlet, its noisy mixtures, input checks.
 
 Conventions used throughout the package:
 
@@ -35,8 +35,20 @@ def require_visibility(v: float) -> float:
     return v
 
 
-def require_finite(a: np.ndarray, what: str) -> np.ndarray:
-    """Return ``a``, or raise :class:`ValidationError` if an entry is NaN or inf."""
+def _finite_array(x: Any, dtype: type, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """``x`` as a ``dtype`` array of ``shape`` with finite entries.
+
+    Raises :class:`ValidationError` naming ``what`` when ``x`` does not convert
+    (ragged, string or, for a real ``dtype``, complex input), has another
+    shape, or has a NaN or inf entry.
+    """
+    try:
+        a = np.asarray(x, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} does not convert to {dtype.__name__}: {exc}") from exc
+    if a.shape != shape:
+        size = "x".join(map(str, shape)) + (" " if len(shape) > 1 else "-")
+        raise ValidationError(f"expected a {size}{what}, got shape {a.shape}")
     # every comparison with NaN is False, so tolerance tests alone let NaN through;
     # count_nonzero is the cheapest full reduction for the small arrays checked here
     if np.count_nonzero(np.isfinite(a)) < a.size:
@@ -51,10 +63,7 @@ def validate_density_matrix(rho: Any) -> np.ndarray:
     shape, finite entries, hermiticity, unit trace, or positive
     semidefiniteness.
     """
-    m = np.asarray(rho, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValidationError(f"expected a 4x4 density matrix, got shape {m.shape}")
-    require_finite(m, "density matrix")
+    m = _finite_array(rho, complex, (4, 4), "density matrix")
     herm = float(np.max(np.abs(m - m.conj().T)))
     if herm > HERMITICITY_TOL:
         raise ValidationError(f"matrix is not Hermitian: max |M - M^dag| = {herm:.3e}")
@@ -89,42 +98,13 @@ def make_werner(v: float) -> np.ndarray:
     return v * make_singlet() + (1.0 - v) * maximally_mixed()
 
 
-def random_unitary_2x2(seed: int) -> np.ndarray:
-    """Seeded 2x2 unitary with approximately uniform coverage.
-
-    A complex Gaussian matrix is orthonormalized by QR; rescaling the columns
-    by the phases of R's diagonal removes the sign/phase ambiguity of the
-    factorization, which would otherwise bias the distribution.
-    """
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
-
-
-def require_unitary(u: Any, tol: float = UNITARITY_TOL) -> np.ndarray:
-    """Return ``u`` as a complex 2x2 array after checking ``max |U^dag U - I| <= tol``."""
-    uu = np.asarray(u, dtype=complex)
-    if uu.shape != (2, 2):
-        raise DomainError(f"expected a 2x2 unitary, got shape {uu.shape}")
-    require_finite(uu, "unitary")
+def require_unitary(u: Any) -> np.ndarray:
+    """Return ``u`` as a complex 2x2 array after checking ``max |U^dag U - I| <= UNITARITY_TOL``."""
+    uu = _finite_array(u, complex, (2, 2), "unitary")
     unitarity = float(np.max(np.abs(uu.conj().T @ uu - np.eye(2))))
-    if unitarity > tol:
+    if unitarity > UNITARITY_TOL:
         raise DomainError(f"matrix is not unitary: max |U^dag U - I| = {unitarity:.3e}")
     return uu
-
-
-def check_uu_invariance(rho: Any, u: Any, tol: float) -> bool:
-    """Whether ``rho`` is unchanged by conjugation with ``u (x) u``.
-
-    Returns True iff ``max |(U(x)U)^dag rho (U(x)U) - rho| <= tol`` entrywise.
-    """
-    m = validate_density_matrix(rho)
-    uu = require_unitary(u, max(float(tol), UNITARITY_TOL))
-    big = np.kron(uu, uu)
-    delta = float(np.max(np.abs(big.conj().T @ m @ big - m)))
-    return delta <= tol
 
 
 def matrix_to_json(m: Any) -> dict:
@@ -150,7 +130,7 @@ def matrix_from_json(payload: Any) -> np.ndarray:
         entries = list(payload["entries"])
     except KeyError as exc:
         raise ValidationError(f"matrix payload is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed matrix payload: {exc}") from exc
     if rows <= 0 or cols <= 0:
         raise ValidationError(f"matrix dimensions must be positive, got {rows}x{cols}")

@@ -1,0 +1,251 @@
+"""Independent oracles and seeded fixtures that the tests check bellri against.
+
+None of these has a caller in the library: each recomputes a quantity by a
+second route (direct traces, a direction grid, the model's own axes) or
+generates seeded inputs, so it lives beside the tests rather than in the
+public API.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Any, Optional
+
+import numpy as np
+
+from bellri import DomainError, validate_density_matrix
+from bellri.lhv import LhvTwoSettingModel, _axis_streams
+from bellri.states import PAULIS, _finite_array, require_unitary, require_visibility
+from bellri.tensor import as_tensor
+
+UNIT_NORM_TOL = 1e-12
+AXIS_MATCH_TOL = 1e-9
+
+
+# directions and seeded fixtures
+
+
+def unit_vector(n: Any) -> np.ndarray:
+    """Return ``n`` as a float 3-vector after checking unit norm."""
+    v = _finite_array(n, float, (3,), "vector")
+    if abs(float(v @ v) - 1.0) > UNIT_NORM_TOL:
+        raise DomainError(f"vector is not unit length: |n|^2 = {float(v @ v)!r}")
+    return v
+
+
+def to_unit_vector(theta: float, phi: float) -> np.ndarray:
+    """Unit vector at polar angle ``theta`` and azimuth ``phi``.
+
+    ``theta`` must lie in [0, pi]; ``phi`` is wrapped into [0, 2*pi).
+    """
+    theta = float(theta)
+    if not 0.0 <= theta <= math.pi:
+        raise DomainError(f"polar angle must lie in [0, pi], got {theta}")
+    phi = math.fmod(float(phi), 2.0 * math.pi)
+    if phi < 0.0:
+        phi += 2.0 * math.pi
+    st = math.sin(theta)
+    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+
+
+def random_unitary_2x2(seed: int) -> np.ndarray:
+    """Seeded 2x2 unitary with approximately uniform coverage.
+
+    A complex Gaussian matrix is orthonormalized by QR; rescaling the columns
+    by the phases of R's diagonal removes the sign/phase ambiguity of the
+    factorization, which would otherwise bias the distribution.
+    """
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
+
+
+def random_rotation(seed: int) -> np.ndarray:
+    """Seeded proper rotation from a uniform axis and a uniform angle."""
+    rng = np.random.default_rng(seed)
+    axis = rng.standard_normal(3)
+    axis /= np.linalg.norm(axis)
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    k = np.array(
+        [
+            [0.0, -axis[2], axis[1]],
+            [axis[2], 0.0, -axis[0]],
+            [-axis[1], axis[0], 0.0],
+        ]
+    )
+    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+
+
+def random_rotation_pair(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two independent seeded rotations for the two local frames."""
+    return random_rotation(seed), random_rotation(seed + 0x5EED)
+
+
+# states
+
+
+def check_uu_invariance(rho: Any, u: Any, tol: float) -> bool:
+    """Whether ``rho`` is unchanged by conjugation with ``u (x) u``.
+
+    Returns True iff ``max |(U(x)U)^dag rho (U(x)U) - rho| <= tol`` entrywise.
+    """
+    m = validate_density_matrix(rho)
+    uu = require_unitary(u)
+    big = np.kron(uu, uu)
+    delta = float(np.max(np.abs(big.conj().T @ m @ big - m)))
+    return delta <= tol
+
+
+# tensors
+
+
+def correlation_value(rho: Any, n1: Any, n2: Any) -> float:
+    """Expectation of the product of outcomes at directions ``n1`` and ``n2``."""
+    m = validate_density_matrix(rho)
+    v1 = unit_vector(n1)
+    v2 = unit_vector(n2)
+    a1 = sum(v1[k] * PAULIS[k] for k in range(3))
+    a2 = sum(v2[k] * PAULIS[k] for k in range(3))
+    # rho and a1 (x) a2 are Hermitian, so the trace is real up to rounding
+    return float(np.trace(m @ np.kron(a1, a2)).real)
+
+
+def evaluate_via_tensor(t: Any, n1: Any, n2: Any) -> float:
+    """Correlation at arbitrary directions from the axis tensor: ``n1^T T n2``."""
+    return float(unit_vector(n1) @ as_tensor(t) @ unit_vector(n2))
+
+
+def frobenius_sum(t: Any) -> float:
+    """Sum of the squares of all nine tensor entries.
+
+    Invariant under independent rotations of the two local frames, so a
+    maximization of this quantity over frame choices is the identity.
+    """
+    a = as_tensor(t)
+    return float(np.sum(a * a))
+
+
+def tensor_max_grid(t: Any, n_theta: int, n_phi: int) -> float:
+    """Maximum of ``n1^T T n2`` over a product grid of directions per observer.
+
+    Both observers use the same grid: ``n_theta`` cell-centered polar angles
+    uniform in theta on [0, pi] and ``n_phi`` cell-centered azimuths uniform
+    on [0, 2*pi). The brute-force oracle for ``tensor_max_svd``.
+
+    The scan over the first observer's grid is done in closed form: at fixed
+    n2 the value is ``A cos(phi - psi)`` in the azimuth and again a single
+    cosine in the polar angle, and cosine decreases with angular distance, so
+    each stage is maximized exactly at the grid node nearest the analytic
+    maximizer. The result is identical to enumerating all grid pairs.
+    """
+    a = as_tensor(t)
+    n_theta = int(n_theta)
+    n_phi = int(n_phi)
+    if n_theta < 2:
+        raise DomainError(f"n_theta must be at least 2, got {n_theta}")
+    if n_phi < 4:
+        raise DomainError(f"n_phi must be at least 4, got {n_phi}")
+
+    d_theta = math.pi / n_theta
+    d_phi = 2.0 * math.pi / n_phi
+    theta = (np.arange(n_theta) + 0.5) * d_theta
+    phi = (np.arange(n_phi) + 0.5) * d_phi
+
+    sin_t = np.sin(theta)
+    cos_t = np.cos(theta)
+    n2 = np.column_stack(
+        [
+            np.repeat(sin_t, n_phi) * np.tile(np.cos(phi), n_theta),
+            np.repeat(sin_t, n_phi) * np.tile(np.sin(phi), n_theta),
+            np.repeat(cos_t, n_phi),
+        ]
+    )
+
+    u = n2 @ a.T  # row j holds T n2_j
+    amp = np.hypot(u[:, 0], u[:, 1])
+    psi = np.arctan2(u[:, 1], u[:, 0])
+    # nearest azimuth node; the unwrapped nearest multiple gives the circular distance
+    k = np.rint(psi / d_phi - 0.5)
+    r = amp * np.cos(np.abs(psi - (k + 0.5) * d_phi))
+    # r >= 0 because the nearest-node distance is at most pi/n_phi <= pi/4,
+    # so the polar-angle stage is again a cosine with apex at atan2(r, u_z) in [0, pi]
+    omega = np.arctan2(r, u[:, 2])
+    idx = np.clip(np.rint(omega / d_theta - 0.5), 0, n_theta - 1)
+    best = np.hypot(r, u[:, 2]) * np.cos(np.abs(omega - (idx + 0.5) * d_theta))
+    return float(best.max())
+
+
+# the two-setting model
+
+
+@dataclass(frozen=True)
+class LhvSample:
+    """One draw of the six predetermined outcomes (three axes per observer)."""
+
+    a: tuple[int, int, int]
+    b: tuple[int, int, int]
+
+
+def sample(model: LhvTwoSettingModel, seed: int) -> LhvSample:
+    """One deterministic draw of all six outcomes for ``seed``."""
+    streams = _axis_streams(seed)
+    a = tuple(int(2 * streams[k].integers(0, 2) - 1) for k in range(3))
+    p = model.flip_probability
+    b = tuple(
+        -a[k] if float(streams[3 + k].random()) < p else a[k] for k in range(3)
+    )
+    return LhvSample(a=a, b=b)
+
+
+def exact_correlations(model: LhvTwoSettingModel) -> np.ndarray:
+    """The model's analytic correlations at its nine axis pairs.
+
+    Matched axes: (+1)(1 - p) + (-1) p = 1 - 2p = -v with p the flip
+    probability. Mismatched axes vanish because a_i is a zero-mean coin
+    independent of (a_j, flip_j).
+    """
+    return np.diag([-model.v] * 3)
+
+
+def _axis_index(m: np.ndarray) -> Optional[int]:
+    for k in range(3):
+        e = np.zeros(3)
+        e[k] = 1.0
+        if float(np.linalg.norm(m - e)) <= AXIS_MATCH_TOL:
+            return k
+    return None
+
+
+def model_correlation(model: LhvTwoSettingModel, n1: Any, n2: Any) -> Optional[float]:
+    """Correlation the model pins down at a direction pair, or None.
+
+    The model carries outcomes only at the three axes per side (the columns
+    of its frame rotations); direction pairs off those axes are unconstrained
+    and return None.
+    """
+    m1 = model.r1.T @ unit_vector(n1)
+    m2 = model.r2.T @ unit_vector(n2)
+    i = _axis_index(m1)
+    j = _axis_index(m2)
+    if i is None or j is None:
+        return None
+    return -model.v if i == j else 0.0
+
+
+def piecewise_correlation(v: float, n1: Any, n2: Any) -> Optional[float]:
+    """Correlation pinned down by the rotated two-setting family as a whole.
+
+    ``-v`` at equal directions, ``0`` at orthogonal ones, None elsewhere:
+    between those cases the family of rotated models places no constraint.
+    """
+    v = require_visibility(v)
+    u1 = unit_vector(n1)
+    u2 = unit_vector(n2)
+    if float(np.linalg.norm(u1 - u2)) <= AXIS_MATCH_TOL:
+        return -v
+    if abs(float(u1 @ u2)) <= AXIS_MATCH_TOL:
+        return 0.0
+    return None

@@ -14,26 +14,27 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from conftest import random_tensor
+from reference import (
+    check_uu_invariance,
+    frobenius_sum,
+    random_rotation_pair,
+    random_unitary_2x2,
+    tensor_max_grid,
+)
 
 from bellri import (
-    QuadratureSpec,
     build_model,
-    check_uu_invariance,
     chsh_complete_set,
     compute_tensor,
     critical_visibility,
     estimate_correlation,
     evaluate_ri_criterion,
-    frobenius_sum,
     inner_product_ee,
     make_singlet,
     make_werner,
     maximally_mixed,
-    random_rotation_pair,
-    random_unitary_2x2,
     ri_bound_check,
     rotate_tensor,
-    tensor_max_grid,
     tensor_max_svd,
 )
 from bellri.cli import main
@@ -82,20 +83,18 @@ def test_03_grid_oracle_agrees_with_svd():
 
 def test_04_quadrature_identity():
     with criterion(4, "(E,E) equals (4pi/3)^2 times the squared-entry sum", 10.0):
-        q = QuadratureSpec(8, 16)
         scale = (4.0 * math.pi / 3.0) ** 2
         for seed in range(20):
             t = random_tensor(np.random.default_rng(seed))
             expected = scale * frobenius_sum(t)
-            assert abs(inner_product_ee(t, q) - expected) <= 1e-8 * abs(expected)
+            assert abs(inner_product_ee(t) - expected) <= 1e-8 * abs(expected)
 
 
 def test_05_criterion_and_bound_verdicts_agree():
     with criterion(5, "algebraic and quadrature criteria give identical verdicts", 10.0):
-        q = QuadratureSpec(8, 16)
         for v in np.arange(0.0, 1.0001, 0.05):
             t = compute_tensor(make_werner(float(v)))
-            assert evaluate_ri_criterion(t).violated == (not ri_bound_check(t, q).satisfied)
+            assert evaluate_ri_criterion(t).violated == (not ri_bound_check(t).satisfied)
 
 
 def test_06_chsh_compliance_across_sweep():

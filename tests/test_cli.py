@@ -71,6 +71,14 @@ class TestTensorCommand:
         assert_one_line_error(code, out, err)
         assert "entry 0" in err
 
+    @pytest.mark.parametrize("rows", ["Infinity", "1e400"])
+    def test_infinite_dimension_exits_2(self, tmp_path, capsys, rows):
+        path = tmp_path / "inf.json"
+        path.write_text('{"rows": %s, "cols": 4, "entries": []}' % rows)
+        code, out, err = run(capsys, "tensor", "--state", f"file:{path}")
+        assert_one_line_error(code, out, err)
+        assert "malformed matrix payload" in err
+
     def test_barely_hermitian_exits_2(self, tmp_path, capsys):
         # passes the 1e-12 hermiticity check, but the traces keep an
         # imaginary residue of about 2e-12
@@ -216,6 +224,12 @@ class TestLhvCommand:
         payload = json.loads(out)
         assert payload["mean"] == -1.0 and payload["std_error"] == 0.0
 
+    def test_rejects_negative_seed(self, capsys):
+        argv = ["lhv", "--v", "0.5", "--i", "1", "--j", "1", "--n", "2000", "--seed", "-1"]
+        code, out, err = run(capsys, *argv)
+        assert_one_line_error(code, out, err)
+        assert "seed must be non-negative" in err
+
     def test_rejects_small_n(self, capsys):
         code, _, err = run(capsys, "lhv", "--v", "0.5", "--i", "1", "--j", "1", "--n", "10")
         assert code == 2
@@ -312,6 +326,14 @@ class TestConfigAndDeterminism:
         _, out_cfg, _ = run(capsys, *argv_cfg)
         _, out_flag, _ = run(capsys, *argv_flag)
         assert out_cfg == out_flag
+
+    def test_rejects_negative_config_seed(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=-5\n")
+        argv = ["lhv", "--v", "0.5", "--i", "1", "--j", "1", "--n", "2000", "--config", str(cfg)]
+        code, out, err = run(capsys, *argv)
+        assert_one_line_error(code, out, err)
+        assert "seed must be non-negative" in err
 
     def test_rejects_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -3,24 +3,23 @@ import math
 import numpy as np
 import pytest
 from conftest import random_tensor
+from reference import frobenius_sum, random_rotation_pair
 
 import bellri.criteria
 from bellri import (
     COMPARISON_THRESHOLDS,
     DomainError,
-    QuadratureSpec,
     chsh_complete_set,
     compute_tensor,
     critical_visibility,
     evaluate_ri_criterion,
-    frobenius_sum,
     inner_product_ee,
     make_singlet,
     make_werner,
     maximally_mixed,
-    random_rotation_pair,
     ri_bound_check,
     rotate_tensor,
+    tensor_max_svd,
 )
 
 
@@ -213,39 +212,57 @@ class TestCriticalVisibility:
             critical_visibility(maximally_mixed(), rng_free, 1e-6)
 
 
+def fresh_rule_integral(t, n_theta, n_phi):
+    """(E, E) on a product rule built anew, bypassing the cached one."""
+    dirs, weights = bellri.criteria._sphere_nodes.__wrapped__(n_theta, n_phi)
+    values = dirs @ t @ dirs.T
+    return float(weights @ (values * values) @ weights)
+
+
 class TestInnerProductEe:
     def test_full_visibility_value(self):
-        got = inner_product_ee(werner_tensor(1.0), QuadratureSpec(8, 16))
+        got = inner_product_ee(werner_tensor(1.0))
         expected = (4.0 * math.pi / 3.0) ** 2 * 3.0  # 52.6379...
         assert abs(got - expected) <= 1e-8 * expected
         assert abs(expected - 52.63789013914324) <= 1e-10
 
     def test_zero_tensor(self):
-        assert inner_product_ee(np.zeros((3, 3)), QuadratureSpec(8, 16)) == 0.0
+        assert inner_product_ee(np.zeros((3, 3))) == 0.0
 
     def test_exactness_plateau(self):
         t = random_tensor(np.random.default_rng(21))
-        a = inner_product_ee(t, QuadratureSpec(8, 16))
-        b = inner_product_ee(t, QuadratureSpec(16, 32))
+        a = inner_product_ee(t)
+        b = fresh_rule_integral(t, 16, 32)
         assert abs(a - b) <= 1e-10
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_frobenius_identity(self, seed):
         t = random_tensor(np.random.default_rng(seed))
-        got = inner_product_ee(t, QuadratureSpec(8, 16))
+        got = inner_product_ee(t)
         expected = (4.0 * math.pi / 3.0) ** 2 * frobenius_sum(t)
         assert abs(got - expected) <= 1e-8 * abs(expected)
 
-    def test_quadrature_spec_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(3, 16)
-        with pytest.raises(DomainError):
-            QuadratureSpec(8, 7)
+    def test_rule_is_built_once_and_read_only(self):
+        dirs, weights = bellri.criteria._sphere_nodes()
+        again = bellri.criteria._sphere_nodes()
+        assert again[0] is dirs and again[1] is weights
+        assert dirs.shape == (128, 3) and weights.shape == (128,)
+        assert not dirs.flags.writeable and not weights.flags.writeable
+
+    def test_bit_identical_to_a_freshly_built_rule(self):
+        rng = np.random.default_rng(22)
+        for _ in range(500):
+            t = random_tensor(rng)
+            expected = fresh_rule_integral(t, 8, 16)
+            assert inner_product_ee(t) == expected
+            rep = ri_bound_check(t)
+            assert rep.lhs == expected
+            assert rep.rhs == (2.0 * math.pi) ** 2 * tensor_max_svd(t)
 
 
 class TestRiBoundCheck:
     def test_violated_above_threshold(self):
-        rep = ri_bound_check(werner_tensor(0.8), QuadratureSpec(8, 16))
+        rep = ri_bound_check(werner_tensor(0.8))
         # arithmetic oracle: (16 pi^2 / 9) * 3 * 0.64 vs (2 pi)^2 * 0.8
         lhs_expected = (4.0 * math.pi / 3.0) ** 2 * 1.92
         rhs_expected = (2.0 * math.pi) ** 2 * 0.8
@@ -255,19 +272,31 @@ class TestRiBoundCheck:
         assert rep.margin > 0
 
     def test_satisfied_below_threshold(self):
-        rep = ri_bound_check(werner_tensor(0.5), QuadratureSpec(8, 16))
+        rep = ri_bound_check(werner_tensor(0.5))
         assert rep.satisfied
 
     def test_zero_tensor(self):
-        rep = ri_bound_check(np.zeros((3, 3)), QuadratureSpec(8, 16))
+        rep = ri_bound_check(np.zeros((3, 3)))
         assert rep.satisfied and rep.margin == 0.0
 
     def test_equivalent_to_algebraic_criterion(self):
         # both encode the same bound; verdicts must agree away from the slack band
-        q = QuadratureSpec(8, 16)
         for seed in range(20):
             t = random_tensor(np.random.default_rng(seed))
             alg = evaluate_ri_criterion(t)
-            quad = ri_bound_check(t, q)
+            quad = ri_bound_check(t)
             if abs(alg.margin) > 1e-6:
                 assert alg.violated == (not quad.satisfied)
+
+    def test_converts_the_tensor_once(self, monkeypatch):
+        calls = {"n": 0}
+        original = bellri.tensor.as_tensor
+
+        def counting(t):
+            calls["n"] += 1
+            return original(t)
+
+        for module in (bellri.tensor, bellri.criteria):
+            monkeypatch.setattr(module, "as_tensor", counting)
+        ri_bound_check(werner_tensor(0.8).tolist())
+        assert calls["n"] == 1

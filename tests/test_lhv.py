@@ -7,6 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import (
+    exact_correlations,
+    model_correlation,
+    piecewise_correlation,
+    random_rotation,
+    sample,
+)
 
 import bellri
 from bellri import (
@@ -17,13 +24,8 @@ from bellri import (
     consistency_verdict,
     estimate_correlation,
     evaluate_ri_criterion,
-    exact_correlations,
     make_werner,
     mc_report,
-    model_correlation,
-    piecewise_correlation,
-    random_rotation,
-    sample,
     verdict_sweep,
 )
 from bellri.lhv import CONSISTENT, RI_VIOLATED, _axis_streams
@@ -125,6 +127,11 @@ class TestEstimateCorrelation:
     def test_rejects_small_n(self):
         with pytest.raises(DomainError, match="1000"):
             estimate_correlation(build_model(0.5), 1, 1, 999, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, -5, 2.5, float("nan")])
+    def test_rejects_negative_or_fractional_seed(self, seed):
+        with pytest.raises(DomainError, match="seed must be"):
+            estimate_correlation(build_model(0.5), 1, 1, 2000, seed=seed)
 
     def test_rejects_bad_axis(self):
         with pytest.raises(DomainError, match="axis"):

@@ -3,19 +3,20 @@ import math
 import numpy as np
 import pytest
 from conftest import random_density_matrix
+from reference import check_uu_invariance, random_unitary_2x2, unit_vector
 
 from bellri import (
     DomainError,
     ValidationError,
-    check_uu_invariance,
     make_singlet,
     make_werner,
     matrix_from_json,
     matrix_to_json,
     maximally_mixed,
-    random_unitary_2x2,
     validate_density_matrix,
 )
+from bellri.states import require_unitary
+from bellri.tensor import as_tensor, validate_rotation
 
 
 class TestSinglet:
@@ -155,6 +156,15 @@ class TestJsonCodec:
         with pytest.raises(ValidationError, match=r"entry 0 must be a \[re, im\] pair"):
             matrix_from_json({"rows": 2, "cols": 2, "entries": [1.0, 0.0, 0.0, 1.0]})
 
+    @pytest.mark.parametrize("field", ["rows", "cols"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_rejects_infinite_dimension(self, field, bad):
+        # json.loads reads Infinity and 1e400 as float inf, which int() cannot take
+        payload = {"rows": 4, "cols": 4, "entries": []}
+        payload[field] = bad
+        with pytest.raises(ValidationError, match="malformed matrix payload"):
+            matrix_from_json(payload)
+
     def test_rejects_missing_field(self):
         with pytest.raises(ValidationError):
             matrix_from_json({"rows": 2, "cols": 2})
@@ -162,3 +172,20 @@ class TestJsonCodec:
     def test_white_noise_round_trip(self):
         w = maximally_mixed()
         assert np.array_equal(matrix_from_json(matrix_to_json(w)), w)
+
+
+class TestConverters:
+    @pytest.mark.parametrize(
+        "convert",
+        [validate_density_matrix, require_unitary, unit_vector, as_tensor, validate_rotation],
+    )
+    @pytest.mark.parametrize(
+        "bad",
+        [[[1.0, 2.0], [3.0]], "abc", [[1j] * 3] * 3, [[10**400] * 3] * 3],
+        ids=["ragged", "string", "complex", "huge-int"],
+    )
+    def test_unconvertible_input_is_a_validation_error(self, convert, bad):
+        # complex input fails the conversion to float, or the shape check
+        # of the complex 4x4 and 2x2 converters
+        with pytest.raises(ValidationError):
+            convert(bad)

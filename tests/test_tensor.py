@@ -3,28 +3,31 @@ import math
 import numpy as np
 import pytest
 from conftest import random_density_matrix, random_tensor, random_unit_vector
+from reference import (
+    correlation_value,
+    evaluate_via_tensor,
+    frobenius_sum,
+    random_rotation,
+    random_rotation_pair,
+    random_unitary_2x2,
+    tensor_max_grid,
+    to_unit_vector,
+    unit_vector,
+)
 
 from bellri import (
     DomainError,
     compute_tensor,
-    correlation_value,
-    evaluate_via_tensor,
-    frobenius_sum,
     make_singlet,
     make_werner,
     maximally_mixed,
-    random_rotation,
-    random_rotation_pair,
-    random_unitary_2x2,
     rotate_tensor,
     rotation_from_unitary,
     tensor_from_json,
-    tensor_max_grid,
     tensor_max_svd,
     tensor_to_json,
-    to_unit_vector,
 )
-from bellri.tensor import _pauli_expectations, unit_vector
+from bellri.tensor import _pauli_expectations
 
 SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
