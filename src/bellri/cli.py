@@ -13,9 +13,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import criteria, lhv, states, tensor
 from .errors import DomainError
@@ -30,33 +30,35 @@ EXIT_INVALID = 2
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Defaults shared by all subcommands; a config file may override them."""
+    """Defaults for all subcommands; the field names are the config keys and long flags."""
 
     seed: int = 0
-    fmt: str = "json"
+    format: str = "json"
     output: str = STDOUT_MARKER
     tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.fmt not in ("json", "csv"):
-            raise DomainError(f"format must be 'json' or 'csv', got {self.fmt!r}")
+        if self.format not in ("json", "csv"):
+            raise DomainError(f"format must be 'json' or 'csv', got {self.format!r}")
         if not 0.0 < self.tol < math.inf:
             raise DomainError(f"tol must be positive and finite, got {self.tol}")
 
 
-_CONFIG_PARSERS = {
-    "seed": int,
-    "format": str,
-    "output": str,
-    "tol": float,
-}
+class Output(NamedTuple):
+    """What a subcommand prints; only the format asked for is ever built."""
 
-TENSOR_CSV_HEADER = "T11,T12,T13,T21,T22,T23,T31,T32,T33"
-SWEEP_CSV_HEADER = "v,margin,consistent"
+    payload: Callable[[], Any]
+    header: str
+    rows: Callable[[], list[list]]
+    code: int = EXIT_OK
+
+
+STATE_SPEC_HELP = "werner:<v> | singlet | white | file:<path>"
 
 
 def load_config(path: str) -> RunConfig:
     """Parse a ``key=value`` config file (``#`` comments, blank lines ignored)."""
+    parsers = {f.name: type(f.default) for f in fields(RunConfig)}
     values: dict = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -70,13 +72,12 @@ def load_config(path: str) -> RunConfig:
             raise DomainError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_PARSERS:
+        if key not in parsers:
             raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            parsed = _CONFIG_PARSERS[key](value.strip())
+            values[key] = parsers[key](value.strip())
         except ValueError as exc:
             raise DomainError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-        values["fmt" if key == "format" else key] = parsed
     return RunConfig(**values)
 
 
@@ -84,9 +85,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     cfg = load_config(path) if path else RunConfig()
     # a flag a subcommand lacks, or leaves unset, keeps the config value
-    flags = {"fmt": "format", "output": "output", "seed": "seed", "tol": "tol"}
-    given = {f: getattr(args, a, None) for f, a in flags.items()}
-    return replace(cfg, **{f: x for f, x in given.items() if x is not None})
+    given = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    return replace(cfg, **{k: x for k, x in given.items() if x is not None})
 
 
 def parse_state(spec: str):
@@ -116,17 +116,6 @@ def parse_state(spec: str):
     )
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.output == STDOUT_MARKER:
-        sys.stdout.write(text)
-    else:
-        Path(cfg.output).write_text(text, encoding="utf-8")
-
-
-def _emit_json(payload, cfg: RunConfig) -> None:
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", cfg)
-
-
 def _csv(header: str, rows: list[list]) -> str:
     # cells must be Python scalars: numpy 2 reprs a float64 as np.float64(...)
     def cell(x) -> str:
@@ -140,92 +129,65 @@ def _csv(header: str, rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_tensor(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_tensor(args: argparse.Namespace, cfg: RunConfig) -> Output:
     t = tensor.compute_tensor(parse_state(args.state))
-    if cfg.fmt == "json":
-        _emit_json(tensor.tensor_to_json(t), cfg)
-    else:
-        _emit(_csv(TENSOR_CSV_HEADER, [t.ravel().tolist()]), cfg)
-    return EXIT_OK
+    return Output(
+        lambda: tensor.tensor_to_json(t),
+        "T11,T12,T13,T21,T22,T23,T31,T32,T33",
+        lambda: [t.ravel().tolist()],
+    )
 
 
-def cmd_criterion(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_criterion(args: argparse.Namespace, cfg: RunConfig) -> Output:
     report = criteria.evaluate_ri_criterion(tensor.compute_tensor(parse_state(args.state)))
-    if cfg.fmt == "json":
-        _emit_json(asdict(report), cfg)
-    else:
-        header = "lhs,rhs,margin,violated,threshold_criterion,threshold_prior_two_setting"
-        row = [
-            report.lhs,
-            report.rhs,
-            report.margin,
-            report.violated,
-            report.comparison_thresholds[0],
-            report.comparison_thresholds[1],
-        ]
-        _emit(_csv(header, [row]), cfg)
-    return EXIT_OK
+    return Output(
+        lambda: asdict(report),
+        "lhs,rhs,margin,violated,threshold_criterion,threshold_prior_two_setting",
+        lambda: [[report.lhs, report.rhs, report.margin, report.violated,
+                  *report.comparison_thresholds]],
+    )
 
 
-def cmd_threshold(args: argparse.Namespace, cfg: RunConfig) -> int:
-    pure = parse_state(args.pure)
-    noise = parse_state(args.noise)
-    result = criteria.critical_visibility(pure, noise, cfg.tol)
+def cmd_threshold(args: argparse.Namespace, cfg: RunConfig) -> Output:
+    result = criteria.critical_visibility(parse_state(args.pure), parse_state(args.noise), cfg.tol)
     status = "ok" if result is not None else "no-violation"
-    if cfg.fmt == "json":
-        _emit_json(
-            {
-                "critical_visibility": result,
-                "status": status,
-                "comparison_thresholds": list(criteria.COMPARISON_THRESHOLDS),
-            },
-            cfg,
-        )
-    else:
-        header = "critical_visibility,status,threshold_criterion,threshold_prior_two_setting"
-        row = [
-            result if result is not None else "",
-            status,
-            criteria.COMPARISON_THRESHOLDS[0],
-            criteria.COMPARISON_THRESHOLDS[1],
-        ]
-        _emit(_csv(header, [row]), cfg)
-    return EXIT_OK if result is not None else EXIT_SENTINEL
+    thresholds = list(criteria.COMPARISON_THRESHOLDS)
+    return Output(
+        lambda: {
+            "critical_visibility": result,
+            "status": status,
+            "comparison_thresholds": thresholds,
+        },
+        "critical_visibility,status,threshold_criterion,threshold_prior_two_setting",
+        lambda: [["" if result is None else result, status, *thresholds]],
+        EXIT_OK if result is not None else EXIT_SENTINEL,
+    )
 
 
-def cmd_chsh(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_chsh(args: argparse.Namespace, cfg: RunConfig) -> Output:
     plane = (int(args.plane[0]), int(args.plane[1]))
     report = criteria.chsh_complete_set(tensor.compute_tensor(parse_state(args.state)), plane)
-    if cfg.fmt == "json":
-        _emit_json(asdict(report), cfg)
-    else:
-        header = "plane,value_1,value_2,value_3,value_4,bound,max_value,satisfied"
-        row = [args.plane, *report.values, report.bound, report.max_value, report.satisfied]
-        _emit(_csv(header, [row]), cfg)
-    return EXIT_OK
+    return Output(
+        lambda: asdict(report),
+        "plane,value_1,value_2,value_3,value_4,bound,max_value,satisfied",
+        lambda: [[args.plane, *report.values, report.bound, report.max_value, report.satisfied]],
+    )
 
 
-def cmd_lhv(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_lhv(args: argparse.Namespace, cfg: RunConfig) -> Output:
     model = lhv.build_model(args.v)
     est = lhv.estimate_correlation(model, args.i, args.j, args.n, cfg.seed)
     payload = lhv.mc_report(model, args.i, args.j, est)
-    if cfg.fmt == "json":
-        _emit_json(payload, cfg)
-    else:
-        header = "v,i,j,n,mean,std_error,target,pass"
-        row = [payload[k] for k in ("v", "i", "j", "n", "mean", "std_error", "target", "pass")]
-        _emit(_csv(header, [row]), cfg)
-    return EXIT_OK
+    return Output(lambda: payload, ",".join(payload), lambda: [list(payload.values())])
 
 
-def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> Output:
     verdicts = lhv.verdict_sweep(args.v_min, args.v_max, args.steps)
-    if cfg.fmt == "json":
-        _emit_json([asdict(v) for v in verdicts], cfg)
-    else:
-        rows = [[v.v, v.criterion_margin, v.consistent] for v in verdicts]
-        _emit(_csv(SWEEP_CSV_HEADER, rows), cfg)
-    return EXIT_OK
+    return Output(
+        lambda: [asdict(v) for v in verdicts],
+        "v,margin,consistent",
+        lambda: [[v.v, v.criterion_margin, v.consistent] for v in verdicts],
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,13 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tensor", parents=[common], help="correlation tensor of a state")
-    p.add_argument("--state", required=True, help="werner:<v> | singlet | white | file:<path>")
+    p.add_argument("--state", required=True, help=STATE_SPEC_HELP)
     p.set_defaults(handler=cmd_tensor)
 
     p = sub.add_parser(
         "criterion", parents=[common], help="rotationally invariant criterion report"
     )
-    p.add_argument("--state", required=True, help="werner:<v> | singlet | white | file:<path>")
+    p.add_argument("--state", required=True, help=STATE_SPEC_HELP)
     p.set_defaults(handler=cmd_criterion)
 
     p = sub.add_parser(
@@ -259,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_threshold)
 
     p = sub.add_parser("chsh", parents=[common], help="complete two-setting set in one plane")
-    p.add_argument("--state", required=True, help="werner:<v> | singlet | white | file:<path>")
+    p.add_argument("--state", required=True, help=STATE_SPEC_HELP)
     p.add_argument("--plane", required=True, choices=["12", "23", "13"], help="axes pair")
     p.set_defaults(handler=cmd_chsh)
 
@@ -292,7 +254,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _resolve_config(args)
-        return args.handler(args, cfg)
+        out = args.handler(args, cfg)
+        if cfg.format == "json":
+            text = json.dumps(out.payload(), indent=2, sort_keys=True) + "\n"
+        else:
+            text = _csv(out.header, out.rows())
+        if cfg.output == STDOUT_MARKER:
+            sys.stdout.write(text)
+        else:
+            Path(cfg.output).write_text(text, encoding="utf-8")
+        return out.code
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -20,7 +20,6 @@ search over the continuum of frames is attempted.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Any
 
@@ -28,7 +27,13 @@ import numpy as np
 
 from .criteria import _criterion
 from .errors import DomainError
-from .states import make_singlet, maximally_mixed, require_visibility, validate_density_matrix
+from .states import (
+    _whole,
+    make_singlet,
+    maximally_mixed,
+    require_visibility,
+    validate_density_matrix,
+)
 from .tensor import _pauli_expectations, validate_rotation
 
 CONSISTENT = "consistent-at-this-visibility"
@@ -88,19 +93,6 @@ def _axis_streams(seed: int) -> list[np.random.Generator]:
     # reproducible regardless of which axes a caller consumes
     children = np.random.SeedSequence(seed).spawn(6)
     return [np.random.default_rng(s) for s in children]
-
-
-def _whole(x: Any, name: str) -> int:
-    """``x`` as an int; :class:`DomainError` unless it is a finite whole number."""
-    if isinstance(x, numbers.Integral):
-        return int(x)
-    try:
-        f = float(x)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be a whole number, got {x!r}") from exc
-    if not f.is_integer():  # False for NaN and inf as well
-        raise DomainError(f"{name} must be a finite whole number, got {x!r}")
-    return int(f)
 
 
 def estimate_correlation(

@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import numbers
 from typing import Any
 
 import numpy as np
@@ -35,17 +36,44 @@ def require_visibility(v: float) -> float:
     return v
 
 
+def _whole(x: Any, name: str) -> int:
+    """``x`` as an int; :class:`DomainError` unless it is a finite whole number."""
+    if isinstance(x, numbers.Integral):
+        return int(x)
+    try:
+        f = float(x)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be a whole number, got {x!r}") from exc
+    if not f.is_integer():  # False for NaN and inf as well
+        raise DomainError(f"{name} must be a finite whole number, got {x!r}")
+    return int(f)
+
+
+def _as_array(x: Any, dtype: type, what: str) -> np.ndarray:
+    """``x`` as a ``dtype`` array.
+
+    Raises :class:`ValidationError` naming ``what`` when ``x`` does not convert:
+    ragged, string or, for a real ``dtype``, complex input (which numpy would
+    cast with only a warning, dropping the imaginary part).
+    """
+    try:
+        a = np.asarray(x)
+        if a.dtype == dtype:  # the usual case costs one dtype test
+            return a
+        if a.dtype.kind == "c" and dtype is not complex:
+            raise TypeError("complex entries would lose their imaginary part")
+        return a.astype(dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} does not convert to {dtype.__name__}: {exc}") from exc
+
+
 def _finite_array(x: Any, dtype: type, shape: tuple[int, ...], what: str) -> np.ndarray:
     """``x`` as a ``dtype`` array of ``shape`` with finite entries.
 
     Raises :class:`ValidationError` naming ``what`` when ``x`` does not convert
-    (ragged, string or, for a real ``dtype``, complex input), has another
-    shape, or has a NaN or inf entry.
+    (see :func:`_as_array`), has another shape, or has a NaN or inf entry.
     """
-    try:
-        a = np.asarray(x, dtype=dtype)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{what} does not convert to {dtype.__name__}: {exc}") from exc
+    a = _as_array(x, dtype, what)
     if a.shape != shape:
         size = "x".join(map(str, shape)) + (" " if len(shape) > 1 else "-")
         raise ValidationError(f"expected a {size}{what}, got shape {a.shape}")
@@ -110,11 +138,14 @@ def require_unitary(u: Any) -> np.ndarray:
 def matrix_to_json(m: Any) -> dict:
     """Encode a complex matrix as ``{rows, cols, entries: [[re, im], ...]}``.
 
-    Entries are row-major, reals at full double precision.
+    Entries are row-major, reals at full double precision. Raises
+    :class:`ValidationError` for input that does not convert, is not 2-d, or
+    has a NaN or inf entry, which ``json.dumps`` would write as a non-JSON token.
     """
-    a = np.asarray(m, dtype=complex)
+    a = _as_array(m, complex, "matrix")
     if a.ndim != 2:
-        raise DomainError(f"expected a 2-d matrix, got {a.ndim} dimensions")
+        raise ValidationError(f"expected a 2-d matrix, got {a.ndim} dimensions")
+    _finite_array(a, complex, a.shape, "matrix")  # only the finite-entry check can fail
     return {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
@@ -125,12 +156,12 @@ def matrix_to_json(m: Any) -> dict:
 def matrix_from_json(payload: Any) -> np.ndarray:
     """Inverse of :func:`matrix_to_json`."""
     try:
-        rows = int(payload["rows"])
-        cols = int(payload["cols"])
+        rows = _whole(payload["rows"], "rows")
+        cols = _whole(payload["cols"], "cols")
         entries = list(payload["entries"])
     except KeyError as exc:
         raise ValidationError(f"matrix payload is missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, DomainError) as exc:
         raise ValidationError(f"malformed matrix payload: {exc}") from exc
     if rows <= 0 or cols <= 0:
         raise ValidationError(f"matrix dimensions must be positive, got {rows}x{cols}")

@@ -1,10 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bellri import make_werner, matrix_to_json
+import bellri
+from bellri import cli
 from bellri.cli import main
 
 PRIOR = 2.0 * (2.0 / math.pi) ** 2
@@ -19,6 +26,16 @@ def run(capsys, *argv):
 def write_state(path, entries):
     path.write_text(json.dumps({"rows": 4, "cols": 4, "entries": entries}))
     return f"file:{path}"
+
+
+COMMANDS = [
+    ["tensor", "--state", "werner:0.8"],
+    ["criterion", "--state", "werner:0.8"],
+    ["threshold", "--pure", "white", "--noise", "white"],
+    ["chsh", "--state", "werner:0.9", "--plane", "13"],
+    ["lhv", "--v", "0.7", "--i", "1", "--j", "2", "--n", "5000", "--seed", "3"],
+    ["sweep", "--steps", "11"],
+]
 
 
 def assert_one_line_error(code, out, err):
@@ -78,6 +95,14 @@ class TestTensorCommand:
         code, out, err = run(capsys, "tensor", "--state", f"file:{path}")
         assert_one_line_error(code, out, err)
         assert "malformed matrix payload" in err
+
+    def test_fractional_dimension_exits_2(self, tmp_path, capsys):
+        entries = matrix_to_json(make_werner(0.5))["entries"]
+        path = tmp_path / "frac.json"
+        path.write_text(json.dumps({"rows": 4.5, "cols": 4, "entries": entries}))
+        code, out, err = run(capsys, "tensor", "--state", f"file:{path}")
+        assert_one_line_error(code, out, err)
+        assert "rows must be a finite whole number" in err
 
     def test_barely_hermitian_exits_2(self, tmp_path, capsys):
         # passes the 1e-12 hermiticity check, but the traces keep an
@@ -355,3 +380,79 @@ class TestConfigAndDeterminism:
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 2
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", COMMANDS, ids=[c[0] for c in COMMANDS])
+    def test_output_file_receives_the_stdout_bytes(self, tmp_path, capsys, argv, fmt):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        dest = tmp_path / "out.txt"
+        code_file, out_file, err_file = run(capsys, *argv, "--format", fmt, "--output", str(dest))
+        assert (code_file, out_file, err_file) == (code, "", err)
+        assert dest.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", COMMANDS, ids=[c[0] for c in COMMANDS])
+    def test_builds_only_the_chosen_format(self, monkeypatch, capsys, argv, fmt):
+        built = []
+        output = cli.Output
+
+        def recording(payload, header, rows, code=cli.EXIT_OK):
+            def track(name, thunk):
+                return lambda: built.append(name) or thunk()
+
+            return output(track("json", payload), header, track("csv", rows), code)
+
+        monkeypatch.setattr(cli, "Output", recording)
+        run(capsys, *argv, "--format", fmt)
+        assert built == [fmt]
+
+    def test_csv_sweep_builds_no_records(self, monkeypatch, capsys):
+        def no_asdict(obj):
+            raise AssertionError("asdict called for a CSV sweep")
+
+        monkeypatch.setattr(cli, "asdict", no_asdict)
+        code, out, _ = run(capsys, "sweep", "--steps", "10001", "--format", "csv")
+        assert code == 0 and out.count("\n") == 10002
+
+
+class TestConfigSchema:
+    def test_config_keys_are_the_runconfig_fields(self):
+        assert [f.name for f in fields(cli.RunConfig)] == ["seed", "format", "output", "tol"]
+
+    def test_every_field_is_a_config_key_and_a_flag(self, tmp_path, capsys):
+        dest = tmp_path / "out.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed=3\nformat=csv\noutput={dest}\ntol=1e-3\n")
+        loaded = cli.load_config(str(cfg))
+        assert loaded == cli.RunConfig(seed=3, format="csv", output=str(dest), tol=1e-3)
+        argv = ["lhv", "--v", "0.7", "--i", "1", "--j", "2", "--n", "5000"]
+        code, out, _ = run(capsys, *argv, "--config", str(cfg))
+        assert (code, out) == (0, "")
+        _, flagged, _ = run(capsys, *argv, "--seed", "3", "--format", "csv")
+        assert dest.read_text() == flagged
+
+
+class TestEntrypoint:
+    @staticmethod
+    def module_run(*argv):
+        src = str(Path(bellri.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        env.pop("BELLRI_CONFIG", None)
+        return subprocess.run(
+            [sys.executable, "-m", "bellri.cli", *argv], env=env, capture_output=True, text=True
+        )
+
+    def test_module_matches_main(self, capsys, monkeypatch):
+        monkeypatch.delenv("BELLRI_CONFIG", raising=False)
+        argv = ["criterion", "--state", "werner:0.8"]
+        proc = self.module_run(*argv)
+        code, out, err = run(capsys, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, err)
+        assert code == 0
+
+    def test_module_bad_state_exits_2(self):
+        proc = self.module_run("tensor", "--state", "bogus")
+        assert_one_line_error(proc.returncode, proc.stdout, proc.stderr)

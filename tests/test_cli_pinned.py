@@ -96,6 +96,29 @@ v,i,j,n,mean,std_error,target,pass
 0.6,2,3,100000,-0.00066,0.003162292782927674,0.0,true
 """
 
+CRITERION_WERNER_08_JSON = """\
+{
+  "comparison_thresholds": [
+    0.75,
+    0.8105694691387023
+  ],
+  "lhs": 1.9200000000000004,
+  "margin": 0.12000000000000033,
+  "rhs": 1.8,
+  "violated": true
+}
+"""
+
+CHSH_WERNER_09_PLANE_13_CSV = """\
+plane,value_1,value_2,value_3,value_4,bound,max_value,satisfied
+13,1.7999999999999998,1.7999999999999998,1.1102230246251565e-16,1.1102230246251565e-16,2.0,1.7999999999999998,true
+"""
+
+THRESHOLD_KET00_WHITE_CSV = """\
+critical_visibility,status,threshold_criterion,threshold_prior_two_setting
+,no-violation,0.75,0.8105694691387023
+"""
+
 SWEEP_10001_JSON_SHA256 = "1ab96846cffa3fd0d5e0c6a38e6707cfeb6bdf3f2580980e88b381a6b40ac4a3"
 
 
@@ -154,3 +177,24 @@ def test_pinned_sweep_csv(capsys):
 def test_pinned_sweep_json_digest(capsys):
     out = stdout_of(capsys, "sweep", "--steps", "10001")
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_10001_JSON_SHA256
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["criterion", "--state", "werner:0.8"], CRITERION_WERNER_08_JSON),
+        (
+            ["chsh", "--state", "werner:0.9", "--plane", "13", "--format", "csv"],
+            CHSH_WERNER_09_PLANE_13_CSV,
+        ),
+    ],
+)
+def test_pinned_stdout_more_forms(capsys, argv, expected):
+    assert stdout_of(capsys, *argv) == expected
+
+
+def test_pinned_threshold_csv_without_violation(capsys, ket00_file):
+    # a product state mixed with white noise never violates: exit 1, empty first cell
+    code = main(["threshold", "--pure", f"file:{ket00_file}", "--noise", "white", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, THRESHOLD_KET00_WHITE_CSV, "")

@@ -165,6 +165,19 @@ class TestJsonCodec:
         with pytest.raises(ValidationError, match="malformed matrix payload"):
             matrix_from_json(payload)
 
+    @pytest.mark.parametrize("field", ["rows", "cols"])
+    def test_rejects_fractional_dimension(self, field):
+        payload = {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}
+        payload[field] = 2.9
+        with pytest.raises(ValidationError, match=f"malformed matrix payload: {field} must be"):
+            matrix_from_json(payload)
+
+    def test_accepts_whole_dimension_of_any_type(self):
+        entries = [[1, 0], [0, 0], [0, 0], [1, 0]]
+        for rows in (2, 2.0, "2", np.int64(2)):
+            m = matrix_from_json({"rows": rows, "cols": 2, "entries": entries})
+            assert np.array_equal(m, np.eye(2))
+
     def test_rejects_missing_field(self):
         with pytest.raises(ValidationError):
             matrix_from_json({"rows": 2, "cols": 2})
@@ -181,11 +194,48 @@ class TestConverters:
     )
     @pytest.mark.parametrize(
         "bad",
-        [[[1.0, 2.0], [3.0]], "abc", [[1j] * 3] * 3, [[10**400] * 3] * 3],
-        ids=["ragged", "string", "complex", "huge-int"],
+        [
+            [[1.0, 2.0], [3.0]],
+            "abc",
+            [[1j] * 3] * 3,
+            [[10**400] * 3] * 3,
+            np.eye(3) * (1 + 5j),
+        ],
+        ids=["ragged", "string", "complex", "huge-int", "complex-ndarray"],
     )
     def test_unconvertible_input_is_a_validation_error(self, convert, bad):
         # complex input fails the conversion to float, or the shape check
         # of the complex 4x4 and 2x2 converters
         with pytest.raises(ValidationError):
             convert(bad)
+
+    @pytest.mark.parametrize("convert", [as_tensor, validate_rotation])
+    @pytest.mark.parametrize("imag", [5.0, 1e-3, 0.0])
+    def test_complex_ndarray_is_not_cast_to_real(self, convert, imag):
+        with pytest.raises(ValidationError, match="imaginary part"):
+            convert(np.eye(3) * (1 + imag * 1j))
+
+    def test_real_input_of_any_numeric_dtype_converts(self):
+        expected = np.eye(3)
+        for x in (np.eye(3, dtype=np.float32), np.eye(3, dtype=int), np.eye(3).tolist()):
+            a = as_tensor(x)
+            assert a.dtype == np.float64 and np.array_equal(a, expected)
+        m = validate_density_matrix(np.eye(4) / 4.0)
+        assert m.dtype == np.complex128 and np.array_equal(m, np.eye(4) / 4.0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [[1.0, 2.0], [3.0]],
+            "abc",
+            [[10**400] * 2] * 2,
+            [1.0, 0.0],
+            [[math.nan, 0.0]],
+            [[0.0, complex(0.0, math.inf)]],
+        ],
+        ids=["ragged", "string", "huge-int", "1-d", "nan", "inf"],
+    )
+    def test_matrix_to_json_rejects_unconvertible_or_non_finite(self, bad):
+        # json.dumps would write NaN and inf as the non-JSON tokens NaN and Infinity
+        with pytest.raises(ValidationError):
+            matrix_to_json(bad)
