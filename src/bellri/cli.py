@@ -45,7 +45,11 @@ class RunConfig:
 
 
 class Output(NamedTuple):
-    """What a subcommand prints; only the format asked for is ever built."""
+    """What a subcommand prints; only the format asked for is ever built.
+
+    ``payload`` returns a JSON value, or a string that is already its
+    ``json.dumps(..., indent=2, sort_keys=True)`` text.
+    """
 
     payload: Callable[[], Any]
     header: str
@@ -181,12 +185,35 @@ def cmd_lhv(args: argparse.Namespace, cfg: RunConfig) -> Output:
     return Output(lambda: payload, ",".join(payload), lambda: [list(payload.values())])
 
 
+# one verdict record as json.dumps(..., indent=2, sort_keys=True) writes it
+# inside a list: keys sorted, %r is the float.__repr__ json uses for a finite
+# float, and the explanation codes need no escaping
+_SWEEP_RECORD = """\
+  {
+    "consistent": %s,
+    "criterion_margin": %r,
+    "explanation_code": "%s",
+    "v": %r
+  }"""
+_SWEEP_VERDICT = {False: ("true", lhv.CONSISTENT), True: ("false", lhv.RI_VIOLATED)}
+
+
+def _sweep_json(vs: list, margins: list, flags: list) -> str:
+    records = []
+    for v, margin, bad in zip(vs, margins, flags):
+        consistent, code = _SWEEP_VERDICT[bad]
+        records.append(_SWEEP_RECORD % (consistent, margin, code, v))
+    return "[\n" + ",\n".join(records) + "\n]"
+
+
 def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> Output:
-    verdicts = lhv.verdict_sweep(args.v_min, args.v_max, args.steps)
+    grid = lhv._grid(args.v_min, args.v_max, args.steps)
+    margin, violated = lhv._margins(grid)
+    vs, margins, flags = grid.tolist(), margin.tolist(), violated.tolist()
     return Output(
-        lambda: [asdict(v) for v in verdicts],
+        lambda: _sweep_json(vs, margins, flags),
         "v,margin,consistent",
-        lambda: [[v.v, v.criterion_margin, v.consistent] for v in verdicts],
+        lambda: [[v, m, not bad] for v, m, bad in zip(vs, margins, flags)],
     )
 
 
@@ -256,7 +283,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = _resolve_config(args)
         out = args.handler(args, cfg)
         if cfg.format == "json":
-            text = json.dumps(out.payload(), indent=2, sort_keys=True) + "\n"
+            payload = out.payload()
+            if not isinstance(payload, str):
+                payload = json.dumps(payload, indent=2, sort_keys=True)
+            text = payload + "\n"
         else:
             text = _csv(out.header, out.rows())
         if cfg.output == STDOUT_MARKER:

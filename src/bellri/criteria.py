@@ -31,8 +31,10 @@ CHSH_BOUND = 2.0
 EQUALITY_SLACK = 1e-12
 BOUND_SLACK = 1e-9
 
-# critical visibility of the noisy singlet under this criterion, and the
-# weaker previously reported two-setting threshold kept for comparison
+# critical visibility of the noisy singlet under this criterion (which
+# critical_visibility recomputes), and the weaker previously reported
+# two-setting threshold kept for comparison. The latter is a cited constant:
+# nothing here derives 2 (2/pi)^2 or recomputes it from a model
 VISIBILITY_THRESHOLD = 0.75
 PRIOR_TWO_SETTING_THRESHOLD = 2.0 * (2.0 / math.pi) ** 2
 COMPARISON_THRESHOLDS = (VISIBILITY_THRESHOLD, PRIOR_TWO_SETTING_THRESHOLD)

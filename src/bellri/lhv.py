@@ -155,8 +155,8 @@ def mc_report(model: LhvTwoSettingModel, i: int, j: int, est: McEstimate) -> dic
     }
 
 
-def _verdicts(grid: np.ndarray) -> list[ConsistencyVerdict]:
-    """Verdicts at the visibilities of ``grid`` (each in [0, 1]), evaluated as one stack."""
+def _margins(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Criterion margins and violation flags at ``grid`` (each in [0, 1]), as one stack."""
     singlet = validate_density_matrix(make_singlet())
     white = validate_density_matrix(maximally_mixed())
     # a mixture of two valid states is valid, so no point is revalidated. The
@@ -165,6 +165,23 @@ def _verdicts(grid: np.ndarray) -> list[ConsistencyVerdict]:
     # tensors instead moves T_zz by an ulp at some visibilities
     rhos = grid[:, None, None] * singlet + (1.0 - grid)[:, None, None] * white
     lhs, rhs, violated = _criterion(_pauli_expectations(rhos))
+    return lhs - rhs, violated
+
+
+def _grid(v_min: float, v_max: float, steps: int) -> np.ndarray:
+    """``steps`` evenly spaced visibilities in [v_min, v_max]."""
+    v_min = require_visibility(v_min)
+    v_max = require_visibility(v_max)
+    if v_max < v_min:
+        raise DomainError(f"need v_min <= v_max, got [{v_min}, {v_max}]")
+    steps = _whole(steps, "step count steps")
+    if steps < 1:
+        raise DomainError(f"need at least one step, got {steps}")
+    return np.linspace(v_min, v_max, steps)
+
+
+def _verdicts(grid: np.ndarray) -> list[ConsistencyVerdict]:
+    margins, violated = _margins(grid)
     return [
         ConsistencyVerdict(
             v=v,
@@ -172,7 +189,7 @@ def _verdicts(grid: np.ndarray) -> list[ConsistencyVerdict]:
             consistent=not bad,
             explanation_code=RI_VIOLATED if bad else CONSISTENT,
         )
-        for v, margin, bad in zip(grid.tolist(), (lhs - rhs).tolist(), violated.tolist())
+        for v, margin, bad in zip(grid.tolist(), margins.tolist(), violated.tolist())
     ]
 
 
@@ -188,11 +205,4 @@ def consistency_verdict(v: float) -> ConsistencyVerdict:
 
 def verdict_sweep(v_min: float, v_max: float, steps: int) -> list[ConsistencyVerdict]:
     """Verdicts at ``steps`` evenly spaced visibilities in [v_min, v_max]."""
-    v_min = require_visibility(v_min)
-    v_max = require_visibility(v_max)
-    if v_max < v_min:
-        raise DomainError(f"need v_min <= v_max, got [{v_min}, {v_max}]")
-    steps = _whole(steps, "step count steps")
-    if steps < 1:
-        raise DomainError(f"need at least one step, got {steps}")
-    return _verdicts(np.linspace(v_min, v_max, steps))
+    return _verdicts(_grid(v_min, v_max, steps))

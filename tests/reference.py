@@ -8,13 +8,15 @@ public API.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Optional
 
 import numpy as np
 
-from bellri import DomainError, validate_density_matrix
+from bellri import DomainError, validate_density_matrix, verdict_sweep
+from bellri.cli import _csv
 from bellri.lhv import LhvTwoSettingModel, _axis_streams
 from bellri.states import PAULIS, _finite_array, require_unitary, require_visibility
 from bellri.tensor import as_tensor
@@ -249,3 +251,21 @@ def piecewise_correlation(v: float, n1: Any, n2: Any) -> Optional[float]:
     if abs(float(u1 @ u2)) <= AXIS_MATCH_TOL:
         return 0.0
     return None
+
+
+# the CLI
+
+
+def sweep_stdout(v_min: float, v_max: float, steps: int, fmt: str) -> str:
+    """``bellri sweep`` output rendered from the verdict records.
+
+    JSON is ``json.dumps`` of the records' ``asdict`` form, CSV the CSV
+    writer over their fields: the renderer the CLI used before it wrote the
+    sweep straight from the margin arrays.
+    """
+    verdicts = verdict_sweep(v_min, v_max, steps)
+    if fmt == "json":
+        return json.dumps([asdict(v) for v in verdicts], indent=2, sort_keys=True) + "\n"
+    return _csv(
+        "v,margin,consistent", [[v.v, v.criterion_margin, v.consistent] for v in verdicts]
+    )

@@ -1,17 +1,23 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from reference import sweep_stdout
 
 from bellri import make_werner, matrix_to_json
 import bellri
-from bellri import cli
+from bellri import cli, lhv
 from bellri.cli import main
 
 PRIOR = 2.0 * (2.0 / math.pi) ** 2
@@ -415,6 +421,48 @@ class TestOutputPath:
         monkeypatch.setattr(cli, "asdict", no_asdict)
         code, out, _ = run(capsys, "sweep", "--steps", "10001", "--format", "csv")
         assert code == 0 and out.count("\n") == 10002
+
+    def test_json_sweep_builds_no_records(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verdict record built for a JSON sweep")
+
+        monkeypatch.setattr(cli, "asdict", refuse)
+        monkeypatch.setattr(lhv, "ConsistencyVerdict", refuse)
+        code, out, _ = run(capsys, "sweep", "--steps", "10001", "--format", "json")
+        assert code == 0 and out.count("\n") == 6 * 10001 + 2
+
+
+class TestSweepRendering:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ends=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
+        steps=st.integers(1, 3000),
+    )
+    @example(ends=[0.0, 1.0], steps=1)
+    @example(ends=[0.75, 0.75], steps=5)
+    @example(ends=[1e-320, 1.0], steps=101)
+    def test_stdout_matches_the_record_renderer(self, ends, steps):
+        argv = ["sweep", "--v-min", repr(ends[0]), "--v-max", repr(ends[1]), "--steps", str(steps)]
+        for fmt in ("json", "csv"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main([*argv, "--format", fmt])
+            assert code == 0
+            assert out.getvalue() == sweep_stdout(ends[0], ends[1], steps, fmt)
+
+    def test_json_peak_memory_per_point(self, capsys):
+        # ~540 B per point for the stacked states and their mixing
+        # temporaries, ~590 B for the lists and the rendered text; verdict
+        # records, their asdict dicts and json's chunk list took ~1300 B
+        steps = 20001
+        tracemalloc.start()
+        try:
+            code = main(["sweep", "--steps", str(steps)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and capsys.readouterr().out.endswith("\n]\n")
+        assert peak <= 800 * steps
 
 
 class TestConfigSchema:
