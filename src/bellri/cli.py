@@ -94,18 +94,13 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def parse_state(spec: str):
-    """Resolve a state spec string to a validated density matrix."""
+    """Resolve a state spec string to a density matrix, validated where its tensor is computed."""
     if spec == "singlet":
         return states.make_singlet()
     if spec == "white":
         return states.maximally_mixed()
     if spec.startswith("werner:"):
-        raw = spec.partition(":")[2]
-        try:
-            v = float(raw)
-        except ValueError as exc:
-            raise DomainError(f"malformed visibility in state spec {spec!r}") from exc
-        return states.make_werner(v)
+        return states.make_werner(spec.partition(":")[2])
     if spec.startswith("file:"):
         path = spec.partition(":")[2]
         try:
@@ -114,7 +109,7 @@ def parse_state(spec: str):
             raise DomainError(f"cannot read state file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise DomainError(f"state file {path} is not valid JSON: {exc}") from exc
-        return states.validate_density_matrix(states.matrix_from_json(payload))
+        return states.matrix_from_json(payload)
     raise DomainError(
         f"unrecognized state spec {spec!r}; use werner:<v>, singlet, white, or file:<path>"
     )

@@ -1,13 +1,15 @@
 """Bell-type criteria on correlation tensors and the critical visibility.
 
-Two routes to the same rotationally invariant criterion are provided:
+The rotationally invariant criterion is one criterion in two normalisations:
 
-* :func:`evaluate_ri_criterion` checks the algebraic form
+* :func:`evaluate_ri_criterion` reports the algebraic form
   ``sum_ij T_ij^2 <= (3/2)^2 * T_max``, the necessary condition for an
   omnidirectional local hidden variable description of the correlations;
-* :func:`ri_bound_check` checks the functional form by spherical quadrature,
-  ``(E, E) <= (2pi)^2 * T_max`` with ``(E, E)`` the squared correlation
-  function integrated over both spheres.
+* :func:`ri_bound_check` reports the functional form
+  ``(E, E) <= (2pi)^2 * T_max``, with ``(E, E)`` the squared correlation
+  function integrated over both spheres. Since ``(E, E) = (4pi/3)^2 sum T^2``
+  exactly, both sides are the algebraic ones times ``(4pi/3)^2``, and the
+  verdict is the algebraic one.
 
 Both flag the noisy singlet above visibility 3/4. The complete two-setting
 CHSH set (:func:`chsh_complete_set`), by contrast, is satisfied by that
@@ -16,7 +18,6 @@ family at every visibility, which is the point the criterion sharpens.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -24,12 +25,14 @@ from typing import Any, Optional
 import numpy as np
 
 from .errors import DomainError
+from .states import _real, _whole
 from .tensor import as_tensor, compute_tensor
 
 CRITERION_FACTOR = 2.25  # (3/2)^2
 CHSH_BOUND = 2.0
 EQUALITY_SLACK = 1e-12
-BOUND_SLACK = 1e-9
+# (E, E) per unit of sum T^2: the solid-angle integral of (n . m)^2 per sphere is 4pi/3
+_EE_FACTOR = (4.0 * math.pi / 3.0) ** 2
 
 # critical visibility of the noisy singlet under this criterion (which
 # critical_visibility recomputes), and the weaker previously reported
@@ -74,7 +77,7 @@ class ChshReport:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Outcome of the quadrature form of the criterion."""
+    """Outcome of the functional form of the criterion."""
 
     lhs: float
     rhs: float
@@ -114,7 +117,10 @@ def chsh_complete_set(t: Any, plane: tuple[int, int]) -> ChshReport:
     two-setting local hidden variable model of those correlations.
     """
     a = as_tensor(t)
-    key = tuple(int(p) for p in plane)
+    try:
+        key = tuple(_whole(p, "plane axis") for p in plane)
+    except TypeError as exc:
+        raise DomainError(f"plane must be a pair of axes, got {plane!r}") from exc
     if key not in _CHSH_PLANES:
         raise DomainError(f"plane must be one of {_CHSH_PLANES}, got {key}")
     i, j = key[0] - 1, key[1] - 1
@@ -147,7 +153,7 @@ def critical_visibility(pure_state: Any, noise: Any, tol: float) -> Optional[flo
     mixture ``v*T_pure + (1-v)*T_noise`` of the endpoint tensors; each
     endpoint is validated once and the bisection works on 3x3 tensors only.
     """
-    tol = float(tol)
+    tol = _real(tol, "tolerance")
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
     t_pure = compute_tensor(pure_state)
@@ -172,65 +178,28 @@ def critical_visibility(pure_state: Any, noise: Any, tol: float) -> Optional[flo
     return 0.5 * (lo + hi)
 
 
-@functools.cache
-def _sphere_nodes(n_theta: int = 8, n_phi: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """Directions and weights of the product rule on the unit sphere, read-only.
-
-    Gauss-Legendre in cos(theta) and the trapezoidal rule at uniform nodes
-    on the periodic azimuth. The integrand n_i n_j is degree 2 in the
-    direction vector, so the default node counts make the product rule
-    exact. Built on first use, not at import: the rule needs
-    ``numpy.polynomial``, which the CLI otherwise never loads.
-    """
-    x, w = np.polynomial.legendre.leggauss(n_theta)
-    phi = np.arange(n_phi) * (2.0 * math.pi / n_phi)
-    sin_t = np.sqrt(1.0 - x * x)
-    dirs = np.column_stack(
-        [
-            np.repeat(sin_t, n_phi) * np.tile(np.cos(phi), n_theta),
-            np.repeat(sin_t, n_phi) * np.tile(np.sin(phi), n_theta),
-            np.repeat(x, n_phi),
-        ]
-    )
-    weights = np.repeat(w, n_phi) * (2.0 * math.pi / n_phi)
-    # the cache hands the same arrays to every caller
-    dirs.flags.writeable = False
-    weights.flags.writeable = False
-    return dirs, weights
-
-
-def _sphere_integral(a: np.ndarray) -> float:
-    dirs, weights = _sphere_nodes()
-    values = dirs @ a @ dirs.T
-    return float(weights @ (values * values) @ weights)
-
-
 def inner_product_ee(t: Any) -> float:
     """Squared correlation function integrated over both observers' spheres.
 
-    Evaluates ``int dOmega1 int dOmega2 (n1^T T n2)^2`` with the solid-angle
-    measure on each sphere; equals ``(4pi/3)^2 * sum_ij T_ij^2``
-    analytically, and the quadrature is exact for this integrand, so node
-    counts beyond the minimum change nothing but rounding. The node sums run
-    in a fixed order, so results are bit-stable across runs.
+    ``int dOmega1 int dOmega2 (n1^T T n2)^2`` with the solid-angle measure on
+    each sphere is ``(4pi/3)^2 * sum_ij T_ij^2`` exactly, so this is the
+    algebraic left side in the functional normalisation; no quadrature is
+    needed (``tests/reference.py`` keeps a product rule as its oracle).
     """
-    return _sphere_integral(as_tensor(t))
+    a = as_tensor(t)
+    return float(_EE_FACTOR * (a * a).sum(axis=(-2, -1)))
 
 
 def ri_bound_check(t: Any) -> BoundReport:
-    """Quadrature form of the criterion: ``(E, E) <= (2pi)^2 * T_max``.
+    """Functional form of the criterion: ``(E, E) <= (2pi)^2 * T_max``.
 
-    This is the self-consistency specialization in which the correlation
-    function itself stands in for the hidden variable functional; it is
-    algebraically equivalent to :func:`evaluate_ri_criterion` (the two sides
-    scale by (4pi/3)^2) and reproduces the same visibility transition.
+    The self-consistency specialization in which the correlation function
+    itself stands in for the hidden variable functional. It is the algebraic
+    criterion of :func:`evaluate_ri_criterion` in another normalisation: both
+    sides are scaled by ``(4pi/3)^2`` and the verdict is the algebraic one,
+    with the same slack, so the two reports never disagree.
     """
-    a = as_tensor(t)
-    lhs = _sphere_integral(a)
-    rhs = (2.0 * math.pi) ** 2 * float(np.linalg.svd(a, compute_uv=False)[0])
-    return BoundReport(
-        lhs=lhs,
-        rhs=rhs,
-        satisfied=lhs <= rhs + BOUND_SLACK,
-        margin=lhs - rhs,
-    )
+    lhs, rhs, violated = _criterion(as_tensor(t))
+    lhs = float(_EE_FACTOR * lhs)
+    rhs = float(_EE_FACTOR * rhs)
+    return BoundReport(lhs=lhs, rhs=rhs, satisfied=not violated, margin=lhs - rhs)

@@ -28,9 +28,17 @@ EIGENVALUE_FLOOR = -1e-10
 UNITARITY_TOL = 1e-12
 
 
+def _real(x: Any, name: str) -> float:
+    """``x`` as a float; :class:`DomainError` naming ``name`` unless it converts."""
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name} must be a real number, got {x!r}") from exc
+
+
 def require_visibility(v: float) -> float:
     """Check that ``v`` is a valid visibility (mixing weight) in [0, 1]."""
-    v = float(v)
+    v = _real(v, "visibility")
     if not 0.0 <= v <= 1.0:
         raise DomainError(f"visibility must lie in [0, 1], got {v}")
     return v
@@ -154,7 +162,7 @@ def matrix_to_json(m: Any) -> dict:
 
 
 def matrix_from_json(payload: Any) -> np.ndarray:
-    """Inverse of :func:`matrix_to_json`."""
+    """Inverse of :func:`matrix_to_json`; NaN and inf entries raise :class:`ValidationError`."""
     try:
         rows = _whole(payload["rows"], "rows")
         cols = _whole(payload["cols"], "cols")
@@ -176,4 +184,4 @@ def matrix_from_json(payload: Any) -> np.ndarray:
             flat[k] = complex(re, im)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"entry {k} must be a [re, im] pair, got {entry!r}") from exc
-    return flat.reshape(rows, cols)
+    return _finite_array(flat.reshape(rows, cols), complex, (rows, cols), "matrix")

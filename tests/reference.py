@@ -1,9 +1,9 @@
 """Independent oracles and seeded fixtures that the tests check bellri against.
 
 None of these has a caller in the library: each recomputes a quantity by a
-second route (direct traces, a direction grid, the model's own axes) or
-generates seeded inputs, so it lives beside the tests rather than in the
-public API.
+second route (direct traces, a direction grid, a sphere quadrature, the
+model's own axes) or generates seeded inputs, so it lives beside the tests
+rather than in the public API.
 """
 
 from __future__ import annotations
@@ -178,6 +178,30 @@ def tensor_max_grid(t: Any, n_theta: int, n_phi: int) -> float:
     idx = np.clip(np.rint(omega / d_theta - 0.5), 0, n_theta - 1)
     best = np.hypot(r, u[:, 2]) * np.cos(np.abs(omega - (idx + 0.5) * d_theta))
     return float(best.max())
+
+
+def sphere_integral(t: Any, n_theta: int, n_phi: int) -> float:
+    """``(E, E)``, the squared correlation over both spheres, by a product rule.
+
+    Gauss-Legendre in cos(theta) and the trapezoidal rule at uniform nodes
+    on the periodic azimuth. The integrand n_i n_j is degree 2 in the
+    direction vector, so 8 x 16 nodes already make the product rule exact.
+    The quadrature oracle for ``inner_product_ee``, which uses the closed
+    form ``(4pi/3)^2 * sum T^2`` instead.
+    """
+    x, w = np.polynomial.legendre.leggauss(n_theta)
+    phi = np.arange(n_phi) * (2.0 * math.pi / n_phi)
+    sin_t = np.sqrt(1.0 - x * x)
+    dirs = np.column_stack(
+        [
+            np.repeat(sin_t, n_phi) * np.tile(np.cos(phi), n_theta),
+            np.repeat(sin_t, n_phi) * np.tile(np.sin(phi), n_theta),
+            np.repeat(x, n_phi),
+        ]
+    )
+    weights = np.repeat(w, n_phi) * (2.0 * math.pi / n_phi)
+    values = dirs @ as_tensor(t) @ dirs.T
+    return float(weights @ (values * values) @ weights)
 
 
 # the two-setting model

@@ -137,6 +137,25 @@ class TestTensorCommand:
         t = np.array(json.loads(out)["t"])
         assert np.max(np.abs(t - np.diag([-0.6, -0.6, -0.6]))) <= 1e-12
 
+    @pytest.mark.parametrize("spec", ["file", "werner:0.6"])
+    def test_validates_the_state_once(self, tmp_path, capsys, monkeypatch, spec):
+        if spec == "file":
+            path = tmp_path / "state.json"
+            path.write_text(json.dumps(matrix_to_json(make_werner(0.6))))
+            spec = f"file:{path}"
+        calls = {"n": 0}
+        original = bellri.states.validate_density_matrix
+
+        def counting(rho):
+            calls["n"] += 1
+            return original(rho)
+
+        for module in (bellri.states, bellri.tensor):
+            monkeypatch.setattr(module, "validate_density_matrix", counting)
+        code, _, _ = run(capsys, "tensor", "--state", spec)
+        assert code == 0
+        assert calls["n"] == 1
+
     def test_malformed_spec(self, capsys):
         code, _, err = run(capsys, "tensor", "--state", "werner:abc")
         assert code == 2 and "error" in err

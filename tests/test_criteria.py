@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from conftest import random_tensor
-from reference import frobenius_sum, random_rotation_pair
+from reference import frobenius_sum, random_rotation_pair, sphere_integral
 
 import bellri.criteria
 from bellri import (
@@ -134,6 +134,22 @@ class TestChsh:
         with pytest.raises(DomainError, match="plane"):
             chsh_complete_set(np.zeros((3, 3)), (2, 1))
 
+    @pytest.mark.parametrize(
+        "plane",
+        [(1.5, 2), (1, math.nan), ("x", 2), (None, 2), 12],
+        ids=["fractional", "nan", "string", "none", "not-a-pair"],
+    )
+    def test_rejects_malformed_plane(self, plane):
+        # a fractional axis such as 1.5 is rejected, not truncated
+        with pytest.raises(DomainError, match="plane"):
+            chsh_complete_set(np.zeros((3, 3)), plane)
+
+    def test_accepts_whole_plane_axes_of_any_type(self):
+        t = werner_tensor(0.9)
+        expected = chsh_complete_set(t, (1, 3))
+        for plane in [(1.0, 3.0), (np.int64(1), np.float64(3)), ("1", "3")]:
+            assert chsh_complete_set(t, plane) == expected
+
 
 class TestCriticalVisibility:
     def test_werner_threshold(self):
@@ -205,18 +221,16 @@ class TestCriticalVisibility:
         with pytest.raises(DomainError, match="finite"):
             critical_visibility(make_singlet(), maximally_mixed(), math.inf)
 
+    @pytest.mark.parametrize("tol", ["x", None, 1j])
+    def test_rejects_non_real_tolerance(self, tol):
+        with pytest.raises(DomainError, match="tolerance must be a real number"):
+            critical_visibility(make_singlet(), maximally_mixed(), tol)
+
     def test_rejects_violation_at_zero(self):
         # a state violating at v=0 breaks the bracketing precondition
         rng_free = make_singlet()
         with pytest.raises(DomainError, match="zero visibility"):
             critical_visibility(maximally_mixed(), rng_free, 1e-6)
-
-
-def fresh_rule_integral(t, n_theta, n_phi):
-    """(E, E) on a product rule built anew, bypassing the cached one."""
-    dirs, weights = bellri.criteria._sphere_nodes.__wrapped__(n_theta, n_phi)
-    values = dirs @ t @ dirs.T
-    return float(weights @ (values * values) @ weights)
 
 
 class TestInnerProductEe:
@@ -232,7 +246,7 @@ class TestInnerProductEe:
     def test_exactness_plateau(self):
         t = random_tensor(np.random.default_rng(21))
         a = inner_product_ee(t)
-        b = fresh_rule_integral(t, 16, 32)
+        b = sphere_integral(t, 16, 32)
         assert abs(a - b) <= 1e-10
 
     @pytest.mark.parametrize("seed", range(10))
@@ -242,22 +256,17 @@ class TestInnerProductEe:
         expected = (4.0 * math.pi / 3.0) ** 2 * frobenius_sum(t)
         assert abs(got - expected) <= 1e-8 * abs(expected)
 
-    def test_rule_is_built_once_and_read_only(self):
-        dirs, weights = bellri.criteria._sphere_nodes()
-        again = bellri.criteria._sphere_nodes()
-        assert again[0] is dirs and again[1] is weights
-        assert dirs.shape == (128, 3) and weights.shape == (128,)
-        assert not dirs.flags.writeable and not weights.flags.writeable
-
-    def test_bit_identical_to_a_freshly_built_rule(self):
+    def test_closed_form_matches_the_quadrature_oracle(self):
         rng = np.random.default_rng(22)
         for _ in range(500):
             t = random_tensor(rng)
-            expected = fresh_rule_integral(t, 8, 16)
-            assert inner_product_ee(t) == expected
+            expected = sphere_integral(t, 8, 16)
+            got = inner_product_ee(t)
+            assert abs(got - expected) <= 1e-14 * abs(expected)
             rep = ri_bound_check(t)
-            assert rep.lhs == expected
-            assert rep.rhs == (2.0 * math.pi) ** 2 * tensor_max_svd(t)
+            assert rep.lhs == got
+            rhs = (2.0 * math.pi) ** 2 * tensor_max_svd(t)
+            assert abs(rep.rhs - rhs) <= 1e-15 * rhs
 
 
 class TestRiBoundCheck:
@@ -287,6 +296,12 @@ class TestRiBoundCheck:
             quad = ri_bound_check(t)
             if abs(alg.margin) > 1e-6:
                 assert alg.violated == (not quad.satisfied)
+
+    def test_verdict_agrees_with_algebraic_at_the_threshold(self):
+        # margins of order 1e-11 around v = 3/4, inside any looser slack
+        for v in 0.75 + np.linspace(-1e-10, 1e-10, 4001):
+            t = werner_tensor(v)
+            assert ri_bound_check(t).satisfied == (not evaluate_ri_criterion(t).violated), v
 
     def test_converts_the_tensor_once(self, monkeypatch):
         calls = {"n": 0}

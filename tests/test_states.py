@@ -46,9 +46,11 @@ class TestWerner:
         evals = np.sort(np.linalg.eigvalsh(make_werner(0.5)))
         assert np.allclose(evals, [0.125, 0.125, 0.125, 0.625], atol=1e-14)
 
-    @pytest.mark.parametrize("v", [-0.1, 1.1, math.nan])
+    @pytest.mark.parametrize(
+        "v", [-0.1, 1.1, math.nan, None, "x", 1j, pytest.param(10**400, id="huge-int")]
+    )
     def test_rejects_bad_visibility(self, v):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="visibility"):
             make_werner(v)
 
     @pytest.mark.parametrize("v", np.linspace(0.0, 1.0, 21).tolist())
@@ -171,6 +173,14 @@ class TestJsonCodec:
         payload[field] = 2.9
         with pytest.raises(ValidationError, match=f"malformed matrix payload: {field} must be"):
             matrix_from_json(payload)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_rejects_non_finite_entry(self, bad, part):
+        entries = [[1, 0], [0, 0], [0, 0], [1, 0]]
+        entries[2][part] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            matrix_from_json({"rows": 2, "cols": 2, "entries": entries})
 
     def test_accepts_whole_dimension_of_any_type(self):
         entries = [[1, 0], [0, 0], [0, 0], [1, 0]]
