@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -95,14 +95,42 @@ def _axis_streams(seed: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in children]
 
 
+def _axis(x: Any, name: str) -> int:
+    """``x`` as an axis index; :class:`DomainError` unless it is a whole number in 1..3."""
+    k = _whole(x, name)
+    if not 1 <= k <= 3:
+        raise DomainError(f"{name} must lie in 1..3, got {k}")
+    return k
+
+
+# Leaves of numpy's pairwise summation tree. np.add.reduce over a contiguous
+# float64 array splits a node of m > 128 elements at m//2 - (m//2) % 8 and
+# adds the two halves' sums; a node of at most _LEAF elements reduced on its
+# own gives the same bits as inside the whole array. Every leaf but the last
+# starts and ends on a multiple of 8, so the leaves' bit-packed signs tile
+# one byte array.
+_LEAF = 1 << 16
+
+
+def _pairwise(lo: int, hi: int, leaf: Callable[[int, int], Any]) -> Any:
+    """Sum of ``leaf(a, b)`` over the leaves ``[a, b)`` of ``[lo, hi)``, left to right, in numpy's order."""
+    m = hi - lo
+    if m <= _LEAF:
+        return leaf(lo, hi)
+    h = m // 2 - (m // 2) % 8
+    return _pairwise(lo, lo + h, leaf) + _pairwise(lo + h, hi, leaf)
+
+
 def estimate_correlation(
     model: LhvTwoSettingModel, i: int, j: int, n: int, seed: int
 ) -> McEstimate:
-    """Monte Carlo mean of ``a_i * b_j`` over ``n`` seeded draws (axes 1-indexed)."""
-    i = _whole(i, "axis index i")
-    j = _whole(j, "axis index j")
-    if not (1 <= i <= 3 and 1 <= j <= 3):
-        raise DomainError(f"axis indices must lie in 1..3, got ({i}, {j})")
+    """Monte Carlo mean of ``a_i * b_j`` over ``n`` seeded draws (axes 1-indexed).
+
+    Draws one leaf of numpy's pairwise-sum tree at a time and keeps only the
+    signs, bit-packed: memory is ``n/8`` bytes plus a fixed working set.
+    """
+    i = _axis(i, "axis index i")
+    j = _axis(j, "axis index j")
     n = _whole(n, "sample count n")
     if n < 1000:
         raise DomainError(f"need at least 1000 samples, got {n}")
@@ -110,25 +138,43 @@ def estimate_correlation(
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
     streams = _axis_streams(seed)
-    # neg marks the draws with a_i * b_j = a_i * a_j * flip_j = -1. On matched
-    # axes a_i * a_i = 1, so no coin is drawn; the streams are independent,
-    # so skipping one changes no other draw. int32 coins take the same values
-    # from a stream as the default int64 draw (int8, uint8 and bool do not)
-    neg = streams[3 + (j - 1)].random(n) < model.flip_probability
-    if i != j:
-        neg ^= (
-            streams[i - 1].integers(0, 2, size=n, dtype=np.int32)
-            != streams[j - 1].integers(0, 2, size=n, dtype=np.int32)
-        )
+    flips = streams[3 + (j - 1)]
+    coins = (streams[i - 1].bit_generator, streams[j - 1].bit_generator)
+    p = model.flip_probability
+    size = min(n, _LEAF)
+    u = np.empty(size)
+    neg = np.empty(size, dtype=bool)
+    signs = np.empty((n + 7) // 8, dtype=np.uint8)
+
+    def draw(a: int, b: int) -> int:
+        # neg marks the draws with a_i * b_j = a_i * a_j * flip_j = -1. On
+        # matched axes a_i * a_i = 1, so no coin is drawn; the streams are
+        # independent, so skipping one changes no other draw. A coin of
+        # integers(0, 2) is the top bit of one 32-bit half of the stream's
+        # 64-bit words, low half first (Lemire's method never rejects on a
+        # range of 2), so the parity of two coins is the top bit of the XOR
+        # of their raw words.
+        m = b - a
+        np.less(flips.random(out=u[:m]), p, out=neg[:m])
+        if i != j:
+            words = coins[0].random_raw((m + 1) // 2) ^ coins[1].random_raw((m + 1) // 2)
+            neg[:m] ^= words.view(np.uint32)[:m] >= 1 << 31
+        signs[a // 8 : (b + 7) // 8] = np.packbits(neg[:m])
+        return int(np.count_nonzero(neg[:m]))
+
     # the products are +-1, so their float sum n - 2k is exact and the mean is
     # that of the full product array bit for bit. The squared deviations take
-    # two values; summing them with numpy's pairwise reduction over an array in
-    # sample order reproduces std(ddof=1) bit for bit, which neither the closed
-    # form 4k(n-k)/n nor a chunked sum does
-    mean = (n - 2 * int(np.count_nonzero(neg))) / n
-    up = (1.0 - mean) * (1.0 - mean)
-    down = (-1.0 - mean) * (-1.0 - mean)
-    ss = float(np.where(neg, down, up).sum())
+    # two values; summing them leaf by leaf in numpy's tree reproduces
+    # std(ddof=1) of the full array bit for bit, which neither the closed
+    # form 4k(n-k)/n nor a sum in other chunks does
+    mean = (n - 2 * _pairwise(0, n, draw)) / n
+    lut = np.array([(1.0 - mean) * (1.0 - mean), (-1.0 - mean) * (-1.0 - mean)])
+
+    def squares(a: int, b: int) -> float:
+        bits = np.unpackbits(signs[a // 8 : (b + 7) // 8], count=b - a)
+        return float(lut.take(bits, out=u[: b - a], mode="clip").sum())
+
+    ss = _pairwise(0, n, squares)
     return McEstimate(
         mean=mean,
         std_error=math.sqrt(ss / (n - 1)) / math.sqrt(n),
@@ -138,6 +184,8 @@ def estimate_correlation(
 
 def mc_report(model: LhvTwoSettingModel, i: int, j: int, est: McEstimate) -> dict:
     """JSON payload for one estimate: target and a 5-sigma pass flag included."""
+    i = _axis(i, "axis index i")
+    j = _axis(j, "axis index j")
     target = -model.v if i == j else 0.0
     if est.std_error > 0.0:
         ok = abs(est.mean - target) <= 5.0 * est.std_error
@@ -145,8 +193,8 @@ def mc_report(model: LhvTwoSettingModel, i: int, j: int, est: McEstimate) -> dic
         ok = est.mean == target
     return {
         "v": model.v,
-        "i": int(i),
-        "j": int(j),
+        "i": i,
+        "j": j,
         "n": est.n_samples,
         "mean": est.mean,
         "std_error": est.std_error,

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference import sweep_stdout
 
@@ -42,6 +42,14 @@ COMMANDS = [
     ["lhv", "--v", "0.7", "--i", "1", "--j", "2", "--n", "5000", "--seed", "3"],
     ["sweep", "--steps", "11"],
 ]
+
+
+BIG = "1" + "0" * 39
+# nan, inf, negative, fractional, non-numeric, empty and 40-digit flag values
+EDGE_TEXT = st.sampled_from(
+    ["nan", "-nan", "inf", "-inf", "-1", "-0", "0", "1", "2", "3", "0.5", "1.5", "2.0",
+     "4", "999", "100000", "1e3", "x", "", " 1", "0x10", BIG, "-" + BIG, BIG + ".5"]
+)
 
 
 def assert_one_line_error(code, out, err):
@@ -283,6 +291,34 @@ class TestLhvCommand:
     def test_rejects_small_n(self, capsys):
         code, _, err = run(capsys, "lhv", "--v", "0.5", "--i", "1", "--j", "1", "--n", "10")
         assert code == 2
+
+    # a valid command line with any of its flags replaced by edge text
+    @settings(max_examples=150, deadline=None)
+    @given(
+        valid=st.fixed_dictionaries(
+            {
+                "v": st.floats(0.0, 1.0).map(repr),
+                "i": st.integers(1, 3).map(str),
+                "j": st.integers(1, 3).map(str),
+                "n": st.integers(1000, 10**5).map(str),
+                "seed": st.integers(0, 2**64).map(str),
+            }
+        ),
+        edge=st.dictionaries(st.sampled_from(["v", "i", "j", "n", "seed"]), EDGE_TEXT),
+    )
+    def test_edge_text_exits_cleanly(self, valid, edge):
+        assume(edge.get("n") != BIG)  # --n stays at most 10^5
+        flags = {**valid, **edge}
+        argv = ["lhv", *(f"--{k}={x}" for k, x in flags.items())]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert out.getvalue() == ""
+        else:
+            assert json.loads(out.getvalue())["n"] == int(flags["n"])
 
 
 class TestSweepCommand:

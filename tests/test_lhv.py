@@ -28,7 +28,7 @@ from bellri import (
     mc_report,
     verdict_sweep,
 )
-from bellri.lhv import CONSISTENT, RI_VIOLATED, _axis_streams
+from bellri.lhv import _LEAF, CONSISTENT, RI_VIOLATED, _axis_streams, _pairwise
 
 AXES = np.eye(3)
 AXIS_PAIRS = list(itertools.product((1, 2, 3), repeat=2))
@@ -137,6 +137,11 @@ class TestEstimateCorrelation:
         with pytest.raises(DomainError, match="axis"):
             estimate_correlation(build_model(0.5), 0, 1, 2000, seed=0)
 
+    @pytest.mark.parametrize("pair", [(1, 4), (7, 7), (1.5, 1.5), ("x", 1), (1, -2)])
+    def test_rejects_out_of_range_or_malformed_axis(self, pair):
+        with pytest.raises(DomainError, match="axis index"):
+            estimate_correlation(build_model(0.5), *pair, 2000, seed=0)
+
     @pytest.mark.parametrize("arg", ["i", "j", "n"])
     @pytest.mark.parametrize("bad", [1.5, float("nan"), float("inf")])
     def test_rejects_non_integral_count(self, arg, bad):
@@ -170,19 +175,52 @@ class TestEstimateCorrelation:
         est = estimate_correlation(model, *pair, 10**6, seed)
         assert (est.mean, est.std_error) == reference_estimate(model, *pair, 10**6, seed)
 
+    @pytest.mark.parametrize("pair", [(1, 1), (2, 3), (3, 1)])
+    @pytest.mark.parametrize(
+        "n", [_LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 7, 3 * _LEAF + 5, 10**6 + 7]
+    )
+    def test_bit_identical_to_reference_at_leaf_boundaries(self, n, pair):
+        model = build_model(0.3)
+        est = estimate_correlation(model, *pair, n, seed=11)
+        assert (est.mean, est.std_error) == reference_estimate(model, *pair, n, 11)
+
+    @pytest.mark.parametrize("n", [129, 1000, _LEAF + 1, 3 * _LEAF + 5, 10**6 + 7])
+    def test_leaf_sums_replay_numpys_pairwise_sum(self, n):
+        # the estimator's assumption about np.add.reduce: summing the leaves
+        # on their own and adding the sums in the tree's order gives the
+        # whole array's sum bit for bit
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, size=n)
+        assert _pairwise(0, n, lambda a, b: float(x[a:b].sum())) == float(x.sum())
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("m", [1, 2, 999, 1000, _LEAF + 1])
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_raw_word_parity_is_the_coin_parity(self, dtype, m, seed):
+        # the estimator's assumption about integers(0, 2): each coin is the top
+        # bit of one 32-bit half of the 64-bit stream, low half first
+        s1, s2 = _axis_streams(seed)[:2]
+        want = s1.integers(0, 2, size=m, dtype=dtype) != s2.integers(0, 2, size=m, dtype=dtype)
+        r1, r2 = _axis_streams(seed)[:2]
+        words = r1.bit_generator.random_raw((m + 1) // 2) ^ r2.bit_generator.random_raw((m + 1) // 2)
+        assert np.array_equal(words.view(np.uint32)[:m] >= 1 << 31, want)
+
     @pytest.mark.parametrize("pair", [(1, 1), (2, 3)])
-    def test_peak_memory_per_sample(self, pair):
-        # one boolean sign array plus one float64 array of squared deviations,
-        # about 10 bytes per sample; int64 outcome arrays would take 8 each
-        n = 200000
+    def test_peak_memory_per_sample_falls_with_n(self, pair):
+        # the signs are kept bit-packed, n/8 bytes, beside a working set of a
+        # few buffers of one leaf each; a float64 or int64 per sample would
+        # take 8 bytes
         model = build_model(0.75)
-        tracemalloc.start()
-        try:
-            estimate_correlation(model, *pair, n, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 16 * n
+        per_sample = []
+        for n in (200000, 2000000):
+            tracemalloc.start()
+            try:
+                estimate_correlation(model, *pair, n, seed=3)
+                per_sample.append(tracemalloc.get_traced_memory()[1] / n)
+            finally:
+                tracemalloc.stop()
+        assert per_sample[1] <= 0.5 * per_sample[0]
+        assert per_sample[1] <= 2.0
 
     @pytest.mark.parametrize("n", [10**4, 10**5])
     def test_error_scales_as_root_n(self, n):
@@ -210,6 +248,18 @@ class TestMcReport:
         assert set(payload) == {"v", "i", "j", "n", "mean", "std_error", "target", "pass"}
         assert payload["target"] == 0.0
         assert payload["n"] == 2000
+
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 4), (7, 7), (1.5, 1.5), ("x", 1), (1, -2)])
+    def test_rejects_bad_axis(self, pair):
+        model = build_model(0.75)
+        est = estimate_correlation(model, 1, 1, 2000, seed=1)
+        with pytest.raises(DomainError, match="axis index"):
+            mc_report(model, *pair, est)
+
+    def test_accepts_whole_axes_of_any_type(self):
+        model = build_model(0.75)
+        est = estimate_correlation(model, 1, 1, 2000, seed=1)
+        assert mc_report(model, 1.0, np.int64(1), est) == mc_report(model, 1, 1, est)
 
     def test_zero_error_requires_exact_match(self):
         model = build_model(1.0)
