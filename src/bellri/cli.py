@@ -9,6 +9,7 @@ found), 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -212,7 +213,13 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> Output:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one per-process parser, built on the first call (never at import).
+
+    Each subcommand's handler is bound when the parser is built, so patching
+    a ``cmd_*`` function after that first call has no effect.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help=f"config file (default: ${CONFIG_ENV_VAR})")
     common.add_argument("--format", choices=["json", "csv"], help="output format")

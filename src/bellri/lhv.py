@@ -39,6 +39,12 @@ from .tensor import _pauli_expectations, validate_rotation
 CONSISTENT = "consistent-at-this-visibility"
 RI_VIOLATED = "ri-criterion-violated"
 
+# upper limits on the sizes callers may ask for, checked before anything is
+# allocated: 10^9 samples keep 125 MB of packed signs, and a sweep peaks near
+# 600 B per point, so 10^6 steps stay under 1 GB
+MAX_SAMPLES = 10**9
+MAX_STEPS = 10**6
+
 
 @dataclass(frozen=True, eq=False)
 class LhvTwoSettingModel:
@@ -128,12 +134,16 @@ def estimate_correlation(
 
     Draws one leaf of numpy's pairwise-sum tree at a time and keeps only the
     signs, bit-packed: memory is ``n/8`` bytes plus a fixed working set.
+    ``n`` must lie in ``1000..MAX_SAMPLES`` (10^9); any other count raises
+    :class:`DomainError` before anything is allocated.
     """
     i = _axis(i, "axis index i")
     j = _axis(j, "axis index j")
     n = _whole(n, "sample count n")
     if n < 1000:
         raise DomainError(f"need at least 1000 samples, got {n}")
+    if n > MAX_SAMPLES:
+        raise DomainError(f"sample count n must be at most {MAX_SAMPLES}, got {n}")
     seed = _whole(seed, "seed")
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
@@ -217,7 +227,7 @@ def _margins(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _grid(v_min: float, v_max: float, steps: int) -> np.ndarray:
-    """``steps`` evenly spaced visibilities in [v_min, v_max]."""
+    """``steps`` evenly spaced visibilities in [v_min, v_max], ``1 <= steps <= MAX_STEPS``."""
     v_min = require_visibility(v_min)
     v_max = require_visibility(v_max)
     if v_max < v_min:
@@ -225,6 +235,8 @@ def _grid(v_min: float, v_max: float, steps: int) -> np.ndarray:
     steps = _whole(steps, "step count steps")
     if steps < 1:
         raise DomainError(f"need at least one step, got {steps}")
+    if steps > MAX_STEPS:
+        raise DomainError(f"step count steps must be at most {MAX_STEPS}, got {steps}")
     return np.linspace(v_min, v_max, steps)
 
 
@@ -252,5 +264,8 @@ def consistency_verdict(v: float) -> ConsistencyVerdict:
 
 
 def verdict_sweep(v_min: float, v_max: float, steps: int) -> list[ConsistencyVerdict]:
-    """Verdicts at ``steps`` evenly spaced visibilities in [v_min, v_max]."""
+    """Verdicts at ``steps`` evenly spaced visibilities in [v_min, v_max].
+
+    ``steps`` must lie in ``1..MAX_STEPS`` (10^6); memory is linear in it.
+    """
     return _verdicts(_grid(v_min, v_max, steps))

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -11,9 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import sweep_stdout
+import test_cli_pinned as pinned
 
 from bellri import make_werner, matrix_to_json
 import bellri
@@ -306,8 +309,8 @@ class TestLhvCommand:
         ),
         edge=st.dictionaries(st.sampled_from(["v", "i", "j", "n", "seed"]), EDGE_TEXT),
     )
+    @example(valid={"v": "0.5", "i": "1", "j": "1", "n": "1000", "seed": "0"}, edge={"n": BIG})
     def test_edge_text_exits_cleanly(self, valid, edge):
-        assume(edge.get("n") != BIG)  # --n stays at most 10^5
         flags = {**valid, **edge}
         argv = ["lhv", *(f"--{k}={x}" for k, x in flags.items())]
         out, err = io.StringIO(), io.StringIO()
@@ -359,6 +362,12 @@ class TestSweepCommand:
         payload = json.loads(out)
         assert isinstance(payload, list) and len(payload) == 5
         assert payload[-1]["consistent"] is False
+
+    @pytest.mark.parametrize("steps", [str(lhv.MAX_STEPS + 1), BIG], ids=["cap+1", "40-digit"])
+    def test_rejects_step_count_above_the_cap(self, capsys, steps):
+        code, out, err = run(capsys, "sweep", "--steps", steps)
+        assert_one_line_error(code, out, err)
+        assert err == f"error: step count steps must be at most {lhv.MAX_STEPS}, got {steps}\n"
 
 
 class TestConfigAndDeterminism:
@@ -535,6 +544,95 @@ class TestConfigSchema:
         assert (code, out) == (0, "")
         _, flagged, _ = run(capsys, *argv, "--seed", "3", "--format", "csv")
         assert dest.read_text() == flagged
+
+
+def pinned_cases(tmp_path):
+    """(argv, exit code, expected stdout) for each byte-pinned case of test_cli_pinned.py."""
+    ket00 = tmp_path / "n00.json"
+    entries = [[0.0, 0.0] for _ in range(16)]
+    entries[0] = [1.0, 0.0]
+    ket00.write_text(json.dumps({"rows": 4, "cols": 4, "entries": entries}))
+    cases = []
+    for test in (pinned.test_pinned_stdout, pinned.test_pinned_stdout_more_forms):
+        (mark,) = test.pytestmark
+        cases += [(list(argv), 0, expected) for argv, expected in mark.args[1]]
+    return cases + [
+        (["threshold", "--pure", "singlet", "--noise", f"file:{ket00}", "--tol", "1e-9"], 0,
+         pinned.THRESHOLD_TEMPLATE % "0.8442536392249167"),
+        (["sweep", "--steps", "101", "--format", "csv"], 0,
+         (pinned.DATA / "sweep_steps101.csv").read_text()),
+        (["threshold", "--pure", f"file:{ket00}", "--noise", "white", "--format", "csv"], 1,
+         pinned.THRESHOLD_KET00_WHITE_CSV),
+    ]
+
+
+def subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestParserCache:
+    def test_repeated_calls_build_no_parser(self, capsys, monkeypatch):
+        run(capsys, *COMMANDS[0])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        codes = [run(capsys, *COMMANDS[k % len(COMMANDS)])[0] for k in range(20)]
+        assert codes == [0, 0, 1, 0, 0, 0] * 3 + [0, 0]
+        assert built == []
+
+    def test_no_state_leaks_between_calls(self, capsys, tmp_path):
+        code, out, err = run(capsys, "tensor")
+        assert (code, out) == (2, "")
+        assert "the following arguments are required: --state" in err
+        code, out, err = run(capsys, "--help")
+        assert (code, err) == (0, "") and out.startswith("usage: bellri")
+        assert_one_line_error(*run(capsys, "tensor", "--state", "bogus"))
+        for argv, want_code, expected in pinned_cases(tmp_path):
+            assert run(capsys, *argv) == (want_code, expected, "")
+        code, out, err = run(capsys, "sweep", "--steps", "10001")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == pinned.SWEEP_10001_JSON_SHA256
+
+    def test_usage_error_goes_to_the_current_stderr(self, capsys):
+        cli.build_parser.cache_clear()
+        first = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(first):
+            assert main(["tensor", "--state", "singlet"]) == 0
+        code, out, err = run(capsys, "tensor")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: bellri tensor") and "--state" in err
+        assert first.getvalue() == ""
+
+    def test_cached_help_matches_a_fresh_build(self):
+        cached, fresh = cli.build_parser(), cli.build_parser.__wrapped__()
+        assert cached is cli.build_parser() and fresh is not cached
+        assert cached.format_help() == fresh.format_help()
+        cached_subs, fresh_subs = subparsers(cached), subparsers(fresh)
+        assert list(cached_subs) == list(fresh_subs) == [c[0] for c in COMMANDS]
+        for name, sub in cached_subs.items():
+            assert sub.format_help() == fresh_subs[name].format_help()
+
+    def test_import_builds_no_parser(self):
+        script = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+            "import bellri, bellri.cli\n"
+            "print(len(built))\n"
+        )
+        src = str(Path(bellri.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 class TestEntrypoint:

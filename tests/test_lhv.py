@@ -28,10 +28,31 @@ from bellri import (
     mc_report,
     verdict_sweep,
 )
-from bellri.lhv import _LEAF, CONSISTENT, RI_VIOLATED, _axis_streams, _pairwise
+from bellri.cli import main
+from bellri.lhv import (
+    _LEAF,
+    CONSISTENT,
+    MAX_SAMPLES,
+    MAX_STEPS,
+    RI_VIOLATED,
+    _axis_streams,
+    _pairwise,
+)
 
 AXES = np.eye(3)
 AXIS_PAIRS = list(itertools.product((1, 2, 3), repeat=2))
+BIG = 10**39  # a 40-digit count
+
+
+def rejection_peak(match, fn, *args, **kwargs):
+    """tracemalloc peak in bytes while ``fn(*args, **kwargs)`` raises a DomainError matching ``match``."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=match):
+            fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def reference_estimate(model, i, j, n, seed):
@@ -149,6 +170,20 @@ class TestEstimateCorrelation:
         args[arg] = 1000 + bad if arg == "n" else bad
         with pytest.raises(DomainError, match=f"{arg} must be a"):
             estimate_correlation(build_model(0.5), seed=0, **args)
+
+    @pytest.mark.parametrize("n", [MAX_SAMPLES + 1, BIG], ids=["cap+1", "40-digit"])
+    @pytest.mark.parametrize("pair", [(1, 1), (2, 3)])
+    def test_rejects_count_above_the_cap_before_allocating(self, n, pair):
+        match = f"n must be at most {MAX_SAMPLES}, got {n}$"
+        peak = rejection_peak(match, estimate_correlation, build_model(0.5), *pair, n, seed=0)
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("n", [MAX_SAMPLES + 1, BIG], ids=["cap+1", "40-digit"])
+    def test_cli_rejects_count_above_the_cap(self, capsys, n):
+        code = main(["lhv", "--v", "0.5", "--i", "1", "--j", "1", "--n", str(n)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == f"error: sample count n must be at most {MAX_SAMPLES}, got {n}\n"
 
     def test_accepts_integral_counts_of_any_type(self):
         model = build_model(0.5)
@@ -399,6 +434,11 @@ class TestVerdictSweep:
     def test_rejects_zero_steps(self):
         with pytest.raises(DomainError):
             verdict_sweep(0.0, 1.0, 0)
+
+    @pytest.mark.parametrize("steps", [MAX_STEPS + 1, BIG], ids=["cap+1", "40-digit"])
+    def test_rejects_step_count_above_the_cap_before_allocating(self, steps):
+        match = f"steps must be at most {MAX_STEPS}, got {steps}$"
+        assert rejection_peak(match, verdict_sweep, 0.0, 1.0, steps) < 1 << 20
 
     @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf")])
     def test_rejects_non_integral_steps(self, bad):
