@@ -20,7 +20,7 @@ from .criteria import (
     inner_product_ee,
     ri_bound_check,
 )
-from .errors import BellriError, DomainError, ValidationError
+from .errors import DomainError
 from .lhv import (
     ConsistencyVerdict,
     LhvTwoSettingModel,
@@ -51,7 +51,6 @@ from .tensor import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BellriError",
     "BoundReport",
     "COMPARISON_THRESHOLDS",
     "ChshReport",
@@ -62,7 +61,6 @@ __all__ = [
     "McEstimate",
     "PRIOR_TWO_SETTING_THRESHOLD",
     "VISIBILITY_THRESHOLD",
-    "ValidationError",
     "build_model",
     "chsh_complete_set",
     "compute_tensor",

@@ -61,15 +61,19 @@ class Output(NamedTuple):
 STATE_SPEC_HELP = "werner:<v> | singlet | white | file:<path>"
 
 
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of the ``what`` file at ``path``, or a :class:`DomainError` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
+        raise DomainError(f"cannot read {what} file {path}: {exc}") from exc
+
+
 def load_config(path: str) -> RunConfig:
     """Parse a ``key=value`` config file (``#`` comments, blank lines ignored)."""
     parsers = {f.name: type(f.default) for f in fields(RunConfig)}
     values: dict = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DomainError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path, "config").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -104,12 +108,11 @@ def parse_state(spec: str):
         return states.make_werner(spec.partition(":")[2])
     if spec.startswith("file:"):
         path = spec.partition(":")[2]
+        text = _read_text(path, "state")
         try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise DomainError(f"cannot read state file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"state file {path} is not valid JSON: {exc}") from exc
+            payload = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # also an int over the digit limit
+            raise DomainError(f"cannot parse state file {path} as JSON: {exc}") from exc
         return states.matrix_from_json(payload)
     raise DomainError(
         f"unrecognized state spec {spec!r}; use werner:<v>, singlet, white, or file:<path>"
@@ -203,9 +206,7 @@ def _sweep_json(vs: list, margins: list, flags: list) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> Output:
-    grid = lhv._grid(args.v_min, args.v_max, args.steps)
-    margin, violated = lhv._margins(grid)
-    vs, margins, flags = grid.tolist(), margin.tolist(), violated.tolist()
+    vs, margins, flags = lhv.sweep_margins(args.v_min, args.v_max, args.steps)
     return Output(
         lambda: _sweep_json(vs, margins, flags),
         "v,margin,consistent",
@@ -294,7 +295,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         if cfg.output == STDOUT_MARKER:
             sys.stdout.write(text)
         else:
-            Path(cfg.output).write_text(text, encoding="utf-8")
+            try:
+                Path(cfg.output).write_text(text, encoding="utf-8")
+            except ValueError as exc:  # a NUL in the path
+                raise DomainError(f"cannot write output file {cfg.output!r}: {exc}") from exc
         return out.code
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

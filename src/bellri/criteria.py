@@ -143,11 +143,11 @@ def critical_visibility(pure_state: Any, noise: Any, tol: float) -> Optional[flo
 
     Bisects the satisfied/violated transition on [0, 1] to within ``tol`` (or
     to two adjacent doubles, when ``tol`` is finer than their spacing) and
-    returns the transition visibility, or None when no ``v <= 1`` violates
-    (so "violates only beyond physical visibility" is distinguishable from
-    "violates at v = 1"). Valid whenever the margin changes sign once on the
-    interval, which holds for mixtures whose noise tensor vanishes: there the
-    margin is ``a*v^2 - b*v`` with a single positive crossing.
+    returns the transition visibility, or None when ``v = 1`` does not
+    violate. Both assume a single crossing: the margin changes sign at most
+    once on [0, 1], as for mixtures whose noise tensor vanishes (there it is
+    ``a*v^2 - b*v``). A mixture that violates only inside (0, 1) breaks this
+    assumption and also returns None.
 
     The tensor is linear in the state, so the mixture's tensor is the same
     mixture ``v*T_pure + (1-v)*T_noise`` of the endpoint tensors; each

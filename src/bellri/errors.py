@@ -1,13 +1,5 @@
-"""Exception types shared across the library."""
+"""The one exception type the library raises."""
 
 
-class BellriError(Exception):
-    """Base class for errors raised by this package."""
-
-
-class DomainError(BellriError, ValueError):
-    """An argument falls outside an operation's documented domain."""
-
-
-class ValidationError(DomainError):
-    """A value fails one of its structural invariants (named in the message)."""
+class DomainError(ValueError):
+    """An argument breaks an invariant of an operation's domain, named in the message."""

@@ -213,21 +213,13 @@ def mc_report(model: LhvTwoSettingModel, i: int, j: int, est: McEstimate) -> dic
     }
 
 
-def _margins(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Criterion margins and violation flags at ``grid`` (each in [0, 1]), as one stack."""
-    singlet = validate_density_matrix(make_singlet())
-    white = validate_density_matrix(maximally_mixed())
-    # a mixture of two valid states is valid, so no point is revalidated. The
-    # states are mixed with make_werner's elementwise arithmetic, which keeps
-    # every margin bit-identical to the one-point path; mixing the endpoint
-    # tensors instead moves T_zz by an ulp at some visibilities
-    rhos = grid[:, None, None] * singlet + (1.0 - grid)[:, None, None] * white
-    lhs, rhs, violated = _criterion(_pauli_expectations(rhos))
-    return lhs - rhs, violated
+def sweep_margins(v_min: float, v_max: float, steps: int) -> tuple[list, list, list]:
+    """Visibilities, criterion margins and violation flags of the noisy singlet, as lists.
 
-
-def _grid(v_min: float, v_max: float, steps: int) -> np.ndarray:
-    """``steps`` evenly spaced visibilities in [v_min, v_max], ``1 <= steps <= MAX_STEPS``."""
+    The visibilities are ``np.linspace(v_min, v_max, steps)``, all checked by
+    one stacked criterion; ``steps`` must lie in ``1..MAX_STEPS`` (10^6), and
+    memory is linear in it.
+    """
     v_min = require_visibility(v_min)
     v_max = require_visibility(v_max)
     if v_max < v_min:
@@ -237,20 +229,16 @@ def _grid(v_min: float, v_max: float, steps: int) -> np.ndarray:
         raise DomainError(f"need at least one step, got {steps}")
     if steps > MAX_STEPS:
         raise DomainError(f"step count steps must be at most {MAX_STEPS}, got {steps}")
-    return np.linspace(v_min, v_max, steps)
-
-
-def _verdicts(grid: np.ndarray) -> list[ConsistencyVerdict]:
-    margins, violated = _margins(grid)
-    return [
-        ConsistencyVerdict(
-            v=v,
-            criterion_margin=margin,
-            consistent=not bad,
-            explanation_code=RI_VIOLATED if bad else CONSISTENT,
-        )
-        for v, margin, bad in zip(grid.tolist(), margins.tolist(), violated.tolist())
-    ]
+    grid = np.linspace(v_min, v_max, steps)
+    singlet = validate_density_matrix(make_singlet())
+    white = validate_density_matrix(maximally_mixed())
+    # a mixture of two valid states is valid, so no point is revalidated. The
+    # states are mixed with make_werner's elementwise arithmetic, which keeps
+    # every margin bit-identical to the one-point path; mixing the endpoint
+    # tensors instead moves T_zz by an ulp at some visibilities
+    rhos = grid[:, None, None] * singlet + (1.0 - grid)[:, None, None] * white
+    lhs, rhs, violated = _criterion(_pauli_expectations(rhos))
+    return grid.tolist(), (lhs - rhs).tolist(), violated.tolist()
 
 
 def consistency_verdict(v: float) -> ConsistencyVerdict:
@@ -260,12 +248,12 @@ def consistency_verdict(v: float) -> ConsistencyVerdict:
     tensor: a violation certifies that no omnidirectional model exists, so
     the two-setting copies must contradict each other.
     """
-    return _verdicts(np.array([require_visibility(v)]))[0]
+    return verdict_sweep(v, v, 1)[0]
 
 
 def verdict_sweep(v_min: float, v_max: float, steps: int) -> list[ConsistencyVerdict]:
-    """Verdicts at ``steps`` evenly spaced visibilities in [v_min, v_max].
-
-    ``steps`` must lie in ``1..MAX_STEPS`` (10^6); memory is linear in it.
-    """
-    return _verdicts(_grid(v_min, v_max, steps))
+    """Verdicts at the points of :func:`sweep_margins` (``1 <= steps <= MAX_STEPS``)."""
+    return [
+        ConsistencyVerdict(v, margin, not bad, RI_VIOLATED if bad else CONSISTENT)
+        for v, margin, bad in zip(*sweep_margins(v_min, v_max, steps))
+    ]

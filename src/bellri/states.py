@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -60,7 +60,7 @@ def _whole(x: Any, name: str) -> int:
 def _as_array(x: Any, dtype: type, what: str) -> np.ndarray:
     """``x`` as a ``dtype`` array.
 
-    Raises :class:`ValidationError` naming ``what`` when ``x`` does not convert:
+    Raises :class:`DomainError` naming ``what`` when ``x`` does not convert:
     ragged, string or, for a real ``dtype``, complex input (which numpy would
     cast with only a warning, dropping the imaginary part).
     """
@@ -72,43 +72,43 @@ def _as_array(x: Any, dtype: type, what: str) -> np.ndarray:
             raise TypeError("complex entries would lose their imaginary part")
         return a.astype(dtype)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{what} does not convert to {dtype.__name__}: {exc}") from exc
+        raise DomainError(f"{what} does not convert to {dtype.__name__}: {exc}") from exc
 
 
 def _finite_array(x: Any, dtype: type, shape: tuple[int, ...], what: str) -> np.ndarray:
     """``x`` as a ``dtype`` array of ``shape`` with finite entries.
 
-    Raises :class:`ValidationError` naming ``what`` when ``x`` does not convert
+    Raises :class:`DomainError` naming ``what`` when ``x`` does not convert
     (see :func:`_as_array`), has another shape, or has a NaN or inf entry.
     """
     a = _as_array(x, dtype, what)
     if a.shape != shape:
         size = "x".join(map(str, shape)) + (" " if len(shape) > 1 else "-")
-        raise ValidationError(f"expected a {size}{what}, got shape {a.shape}")
+        raise DomainError(f"expected a {size}{what}, got shape {a.shape}")
     # every comparison with NaN is False, so tolerance tests alone let NaN through;
     # count_nonzero is the cheapest full reduction for the small arrays checked here
     if np.count_nonzero(np.isfinite(a)) < a.size:
-        raise ValidationError(f"{what} has a non-finite (NaN or inf) entry")
+        raise DomainError(f"{what} has a non-finite (NaN or inf) entry")
     return a
 
 
 def validate_density_matrix(rho: Any) -> np.ndarray:
     """Return ``rho`` as a complex array after checking its invariants.
 
-    Raises :class:`ValidationError` naming the first violated invariant:
+    Raises :class:`DomainError` naming the first violated invariant:
     shape, finite entries, hermiticity, unit trace, or positive
     semidefiniteness.
     """
     m = _finite_array(rho, complex, (4, 4), "density matrix")
     herm = float(np.max(np.abs(m - m.conj().T)))
     if herm > HERMITICITY_TOL:
-        raise ValidationError(f"matrix is not Hermitian: max |M - M^dag| = {herm:.3e}")
+        raise DomainError(f"matrix is not Hermitian: max |M - M^dag| = {herm:.3e}")
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > TRACE_TOL:
-        raise ValidationError(f"matrix trace {tr:.12g} differs from 1")
+        raise DomainError(f"matrix trace {tr:.12g} differs from 1")
     lowest = float(np.linalg.eigvalsh(m).min())
     if lowest < EIGENVALUE_FLOOR:
-        raise ValidationError(
+        raise DomainError(
             f"matrix is not positive semidefinite: min eigenvalue = {lowest:.3e}"
         )
     return m
@@ -147,12 +147,12 @@ def matrix_to_json(m: Any) -> dict:
     """Encode a complex matrix as ``{rows, cols, entries: [[re, im], ...]}``.
 
     Entries are row-major, reals at full double precision. Raises
-    :class:`ValidationError` for input that does not convert, is not 2-d, or
+    :class:`DomainError` for input that does not convert, is not 2-d, or
     has a NaN or inf entry, which ``json.dumps`` would write as a non-JSON token.
     """
     a = _as_array(m, complex, "matrix")
     if a.ndim != 2:
-        raise ValidationError(f"expected a 2-d matrix, got {a.ndim} dimensions")
+        raise DomainError(f"expected a 2-d matrix, got {a.ndim} dimensions")
     _finite_array(a, complex, a.shape, "matrix")  # only the finite-entry check can fail
     return {
         "rows": int(a.shape[0]),
@@ -162,19 +162,19 @@ def matrix_to_json(m: Any) -> dict:
 
 
 def matrix_from_json(payload: Any) -> np.ndarray:
-    """Inverse of :func:`matrix_to_json`; NaN and inf entries raise :class:`ValidationError`."""
+    """Inverse of :func:`matrix_to_json`; NaN and inf entries raise :class:`DomainError`."""
     try:
         rows = _whole(payload["rows"], "rows")
         cols = _whole(payload["cols"], "cols")
         entries = list(payload["entries"])
     except KeyError as exc:
-        raise ValidationError(f"matrix payload is missing field {exc}") from exc
+        raise DomainError(f"matrix payload is missing field {exc}") from exc
     except (TypeError, DomainError) as exc:
-        raise ValidationError(f"malformed matrix payload: {exc}") from exc
+        raise DomainError(f"malformed matrix payload: {exc}") from exc
     if rows <= 0 or cols <= 0:
-        raise ValidationError(f"matrix dimensions must be positive, got {rows}x{cols}")
+        raise DomainError(f"matrix dimensions must be positive, got {rows}x{cols}")
     if len(entries) != rows * cols:
-        raise ValidationError(
+        raise DomainError(
             f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
         )
     flat = np.empty(rows * cols, dtype=complex)
@@ -183,5 +183,5 @@ def matrix_from_json(payload: Any) -> np.ndarray:
             re, im = entry
             flat[k] = complex(re, im)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"entry {k} must be a [re, im] pair, got {entry!r}") from exc
+            raise DomainError(f"entry {k} must be a [re, im] pair, got {entry!r}") from exc
     return _finite_array(flat.reshape(rows, cols), complex, (rows, cols), "matrix")

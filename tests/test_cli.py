@@ -452,6 +452,31 @@ class TestConfigAndDeterminism:
         assert main([]) == 2
 
 
+# bytes of a file the CLI reads, the arguments that point `tensor` at it, and
+# the start of the one-line error
+FILE_BOUNDARY = {
+    "non-utf8-state": (b'\xff{"rows": 4}', ["--state", "file:{}"], "cannot read state file"),
+    "non-utf8-config": (b"format=json\n\xff\n", ["--state", "singlet", "--config", "{}"],
+                        "cannot read config file"),
+    "deeply-nested-state": (b"[" * 100000 + b"]" * 100000, ["--state", "file:{}"],
+                            "cannot parse state file"),
+    "huge-int-state": (b'{"rows": %s}' % (b"1" * 5000), ["--state", "file:{}"],
+                       "cannot parse state file"),
+    "nul-in-output-path": (b"output=a\0b\n", ["--state", "singlet", "--config", "{}"],
+                           "cannot write output file"),
+}
+
+
+class TestFileBoundary:
+    @pytest.mark.parametrize("body, args, message", FILE_BOUNDARY.values(), ids=FILE_BOUNDARY)
+    def test_bad_file_exits_2(self, tmp_path, capsys, body, args, message):
+        path = tmp_path / "input"
+        path.write_bytes(body)
+        code, out, err = run(capsys, "tensor", *(a.format(path) for a in args))
+        assert_one_line_error(code, out, err)
+        assert err.startswith(f"error: {message} ")
+
+
 class TestOutputPath:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("argv", COMMANDS, ids=[c[0] for c in COMMANDS])

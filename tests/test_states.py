@@ -7,7 +7,6 @@ from reference import check_uu_invariance, random_unitary_2x2, unit_vector
 
 from bellri import (
     DomainError,
-    ValidationError,
     make_singlet,
     make_werner,
     matrix_from_json,
@@ -67,29 +66,29 @@ class TestWerner:
 
 class TestValidation:
     def test_rejects_wrong_shape(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(DomainError):
             validate_density_matrix(np.eye(3) / 3.0)
 
     def test_rejects_non_hermitian(self):
         m = np.eye(4, dtype=complex) / 4.0
         m[0, 1] = 0.1
-        with pytest.raises(ValidationError, match="Hermitian"):
+        with pytest.raises(DomainError, match="Hermitian"):
             validate_density_matrix(m)
 
     def test_rejects_bad_trace(self):
-        with pytest.raises(ValidationError, match="trace"):
+        with pytest.raises(DomainError, match="trace"):
             validate_density_matrix(np.eye(4, dtype=complex))
 
     @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.25, math.nan), math.inf])
     def test_rejects_non_finite(self, bad):
         m = make_werner(0.5)
         m[0, 0] = bad
-        with pytest.raises(ValidationError, match="non-finite"):
+        with pytest.raises(DomainError, match="non-finite"):
             validate_density_matrix(m)
 
     def test_rejects_negative_eigenvalue(self):
         m = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
-        with pytest.raises(ValidationError, match="positive semidefinite"):
+        with pytest.raises(DomainError, match="positive semidefinite"):
             validate_density_matrix(m)
 
 
@@ -132,7 +131,7 @@ class TestUuInvariance:
             check_uu_invariance(make_werner(0.5), np.ones((2, 2)), 1e-10)
 
     def test_rejects_nan_unitary(self):
-        with pytest.raises(ValidationError, match="non-finite"):
+        with pytest.raises(DomainError, match="non-finite"):
             check_uu_invariance(make_werner(0.5), np.full((2, 2), math.nan), 1e-10)
 
 
@@ -151,11 +150,11 @@ class TestJsonCodec:
         assert np.array_equal(matrix_from_json(matrix_to_json(u)), u)
 
     def test_rejects_entry_count_mismatch(self):
-        with pytest.raises(ValidationError, match="entries"):
+        with pytest.raises(DomainError, match="entries"):
             matrix_from_json({"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]})
 
     def test_rejects_flat_entries(self):
-        with pytest.raises(ValidationError, match=r"entry 0 must be a \[re, im\] pair"):
+        with pytest.raises(DomainError, match=r"entry 0 must be a \[re, im\] pair"):
             matrix_from_json({"rows": 2, "cols": 2, "entries": [1.0, 0.0, 0.0, 1.0]})
 
     @pytest.mark.parametrize("field", ["rows", "cols"])
@@ -164,14 +163,14 @@ class TestJsonCodec:
         # json.loads reads Infinity and 1e400 as float inf, which int() cannot take
         payload = {"rows": 4, "cols": 4, "entries": []}
         payload[field] = bad
-        with pytest.raises(ValidationError, match="malformed matrix payload"):
+        with pytest.raises(DomainError, match="malformed matrix payload"):
             matrix_from_json(payload)
 
     @pytest.mark.parametrize("field", ["rows", "cols"])
     def test_rejects_fractional_dimension(self, field):
         payload = {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}
         payload[field] = 2.9
-        with pytest.raises(ValidationError, match=f"malformed matrix payload: {field} must be"):
+        with pytest.raises(DomainError, match=f"malformed matrix payload: {field} must be"):
             matrix_from_json(payload)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -179,7 +178,7 @@ class TestJsonCodec:
     def test_rejects_non_finite_entry(self, bad, part):
         entries = [[1, 0], [0, 0], [0, 0], [1, 0]]
         entries[2][part] = bad
-        with pytest.raises(ValidationError, match="non-finite"):
+        with pytest.raises(DomainError, match="non-finite"):
             matrix_from_json({"rows": 2, "cols": 2, "entries": entries})
 
     def test_accepts_whole_dimension_of_any_type(self):
@@ -189,7 +188,7 @@ class TestJsonCodec:
             assert np.array_equal(m, np.eye(2))
 
     def test_rejects_missing_field(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(DomainError):
             matrix_from_json({"rows": 2, "cols": 2})
 
     def test_white_noise_round_trip(self):
@@ -216,13 +215,13 @@ class TestConverters:
     def test_unconvertible_input_is_a_validation_error(self, convert, bad):
         # complex input fails the conversion to float, or the shape check
         # of the complex 4x4 and 2x2 converters
-        with pytest.raises(ValidationError):
+        with pytest.raises(DomainError):
             convert(bad)
 
     @pytest.mark.parametrize("convert", [as_tensor, validate_rotation])
     @pytest.mark.parametrize("imag", [5.0, 1e-3, 0.0])
     def test_complex_ndarray_is_not_cast_to_real(self, convert, imag):
-        with pytest.raises(ValidationError, match="imaginary part"):
+        with pytest.raises(DomainError, match="imaginary part"):
             convert(np.eye(3) * (1 + imag * 1j))
 
     def test_real_input_of_any_numeric_dtype_converts(self):
@@ -247,5 +246,5 @@ class TestConverters:
     )
     def test_matrix_to_json_rejects_unconvertible_or_non_finite(self, bad):
         # json.dumps would write NaN and inf as the non-JSON tokens NaN and Infinity
-        with pytest.raises(ValidationError):
+        with pytest.raises(DomainError):
             matrix_to_json(bad)
