@@ -66,7 +66,7 @@ def _read_text(path: str, what: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
-        raise DomainError(f"cannot read {what} file {path}: {exc}") from exc
+        raise DomainError(f"cannot read {what} file {path!r}: {exc}") from exc
 
 
 def load_config(path: str) -> RunConfig:
@@ -78,15 +78,15 @@ def load_config(path: str) -> RunConfig:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise DomainError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise DomainError(f"{path!r}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in parsers:
-            raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise DomainError(f"{path!r}:{lineno}: unknown config key {key!r}")
         try:
             values[key] = parsers[key](value.strip())
         except ValueError as exc:
-            raise DomainError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+            raise DomainError(f"{path!r}:{lineno}: bad value for {key}: {exc}") from exc
     return RunConfig(**values)
 
 
@@ -112,7 +112,7 @@ def parse_state(spec: str):
         try:
             payload = json.loads(text)
         except (ValueError, RecursionError) as exc:  # also an int over the digit limit
-            raise DomainError(f"cannot parse state file {path} as JSON: {exc}") from exc
+            raise DomainError(f"cannot parse state file {path!r} as JSON: {exc}") from exc
         return states.matrix_from_json(payload)
     raise DomainError(
         f"unrecognized state spec {spec!r}; use werner:<v>, singlet, white, or file:<path>"

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .tensor import as_tensor, compute_tensor
 CRITERION_FACTOR = 2.25  # (3/2)^2
 CHSH_BOUND = 2.0
 EQUALITY_SLACK = 1e-12
+_DEPTH = 4  # bisection levels judged per stacked criterion call
 # (E, E) per unit of sum T^2: the solid-angle integral of (n . m)^2 per sphere is 4pi/3
 _EE_FACTOR = (4.0 * math.pi / 3.0) ** 2
 
@@ -138,6 +139,32 @@ def chsh_complete_set(t: Any, plane: tuple[int, int]) -> ChshReport:
     )
 
 
+def _midpoints(lo: float, hi: float) -> list[float]:
+    """Midpoints the next ``_DEPTH`` steps can visit, in heap order (k halves into 2k+1, 2k+2)."""
+    los, his, mids = [lo], [hi], []
+    for k in range(2**_DEPTH - 1):
+        mids.append(0.5 * (los[k] + his[k]))
+        los += (los[k], mids[k])
+        his += (mids[k], his[k])
+    return mids
+
+
+def _bisect(violated: Callable, lo: float, hi: float, tol: float, flags: list) -> float:
+    """Bisect ``[lo, hi]`` to ``tol``, walking ``flags``, those of ``_midpoints(lo, hi)``."""
+    k = 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent doubles; no narrower bracket exists
+        if k >= len(flags):  # one stacked call flags every midpoint of the next _DEPTH steps
+            flags, k = violated(_midpoints(lo, hi)), 0
+        if flags[k]:
+            hi, k = mid, 2 * k + 1
+        else:
+            lo, k = mid, 2 * k + 2
+    return 0.5 * (lo + hi)
+
+
 def critical_visibility(pure_state: Any, noise: Any, tol: float) -> Optional[float]:
     """Visibility where ``v*pure + (1-v)*noise`` starts violating the criterion.
 
@@ -151,31 +178,24 @@ def critical_visibility(pure_state: Any, noise: Any, tol: float) -> Optional[flo
 
     The tensor is linear in the state, so the mixture's tensor is the same
     mixture ``v*T_pure + (1-v)*T_noise`` of the endpoint tensors; each
-    endpoint is validated once and the bisection works on 3x3 tensors only.
+    endpoint is validated once. Each stacked criterion call judges every midpoint
+    of the next ``_DEPTH`` steps: the same points and bits as one point per step.
     """
     tol = _real(tol, "tolerance")
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
-    t_pure = compute_tensor(pure_state)
-    t_noise = compute_tensor(noise)
+    t_pure, t_noise = compute_tensor(pure_state), compute_tensor(noise)
 
-    def violated_at(v: float) -> bool:
-        return evaluate_ri_criterion(v * t_pure + (1.0 - v) * t_noise).violated
+    def violated(vs: list[float]) -> list[bool]:
+        v = np.array(vs)[:, None, None]
+        return _criterion(v * t_pure + (1.0 - v) * t_noise)[2].tolist()
 
-    if violated_at(0.0):
+    at_zero, at_one, *flags = violated([0.0, 1.0, *_midpoints(0.0, 1.0)])
+    if at_zero:
         raise DomainError("criterion is already violated at zero visibility")
-    if not violated_at(1.0):
+    if not at_one:
         return None
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # lo and hi are adjacent doubles; no narrower bracket exists
-        if violated_at(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _bisect(violated, 0.0, 1.0, tol, flags)
 
 
 def inner_product_ee(t: Any) -> float:

@@ -15,10 +15,16 @@ from typing import Any, Optional
 
 import numpy as np
 
-from bellri import DomainError, validate_density_matrix, verdict_sweep
+from bellri import (
+    DomainError,
+    compute_tensor,
+    evaluate_ri_criterion,
+    validate_density_matrix,
+    verdict_sweep,
+)
 from bellri.cli import _csv
 from bellri.lhv import LhvTwoSettingModel, _axis_streams
-from bellri.states import PAULIS, _finite_array, require_unitary, require_visibility
+from bellri.states import PAULIS, _finite_array, _real, require_unitary, require_visibility
 from bellri.tensor import as_tensor
 
 UNIT_NORM_TOL = 1e-12
@@ -202,6 +208,46 @@ def sphere_integral(t: Any, n_theta: int, n_phi: int) -> float:
     weights = np.repeat(w, n_phi) * (2.0 * math.pi / n_phi)
     values = dirs @ as_tensor(t) @ dirs.T
     return float(weights @ (values * values) @ weights)
+
+
+# the critical visibility
+
+
+def bisect_one_point(pure: Any, noise: Any, tol: float) -> Optional[float]:
+    """``critical_visibility`` as a bisection that judges one mixture per step.
+
+    The oracle for the library's stacked walk: the same bracket, midpoints
+    and stops, each midpoint's mixture judged alone by
+    ``evaluate_ri_criterion``. The two must agree exactly.
+    """
+    tol = _real(tol, "tolerance")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
+    t_pure = compute_tensor(pure)
+    t_noise = compute_tensor(noise)
+
+    def violated_at(v: float) -> bool:
+        return evaluate_ri_criterion(v * t_pure + (1.0 - v) * t_noise).violated
+
+    if violated_at(0.0):
+        raise DomainError("criterion is already violated at zero visibility")
+    if not violated_at(1.0):
+        return None
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent doubles; no narrower bracket exists
+        if violated_at(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def bell_diagonal(c: Any) -> np.ndarray:
+    """``(I + sum_k c_k sigma_k (x) sigma_k) / 4``, the Bell-diagonal state with tensor diag(c)."""
+    return (np.eye(4) + sum(ck * np.kron(s, s) for ck, s in zip(c, PAULIS))) / 4.0
 
 
 # the two-setting model

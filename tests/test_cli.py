@@ -477,6 +477,33 @@ class TestFileBoundary:
         assert err.startswith(f"error: {message} ")
 
 
+# a file whose name holds a newline: its body, the arguments that point
+# `tensor` at it, and a part of the one-line error
+NEWLINE_PATHS = {
+    "missing-state": (None, ["--state", "file:{}"], "cannot read state file"),
+    "unparsable-state": (b"{", ["--state", "file:{}"], "cannot parse state file"),
+    "unknown-config-key": (b"frmat=csv\n", ["--state", "singlet", "--config", "{}"],
+                           ":1: unknown config key 'frmat'"),
+    "config-line-without-equals": (b"format\n", ["--state", "singlet", "--config", "{}"],
+                                   ":1: expected key=value"),
+    "bad-config-value": (b"tol=x\n", ["--state", "singlet", "--config", "{}"],
+                         ":1: bad value for tol"),
+}
+
+
+class TestPathInDiagnostic:
+    @pytest.mark.parametrize("body, args, message", NEWLINE_PATHS.values(), ids=NEWLINE_PATHS)
+    def test_a_newline_in_the_path_keeps_the_error_on_one_line(
+        self, tmp_path, capsys, body, args, message
+    ):
+        path = tmp_path / "x\ny.json"
+        if body is not None:
+            path.write_bytes(body)
+        code, out, err = run(capsys, "tensor", *(a.format(path) for a in args))
+        assert_one_line_error(code, out, err)
+        assert message in err and repr(str(path)) in err
+
+
 class TestOutputPath:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("argv", COMMANDS, ids=[c[0] for c in COMMANDS])

@@ -2,8 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_tensor
-from reference import frobenius_sum, random_rotation_pair, sphere_integral
+from conftest import random_density_matrix, random_tensor
+from reference import (
+    bell_diagonal,
+    bisect_one_point,
+    frobenius_sum,
+    random_rotation_pair,
+    sphere_integral,
+)
 
 import bellri.criteria
 from bellri import (
@@ -21,10 +27,26 @@ from bellri import (
     rotate_tensor,
     tensor_max_svd,
 )
+from bellri.criteria import _DEPTH, _criterion
 
 
 def werner_tensor(v):
     return compute_tensor(make_werner(v))
+
+
+def count_criterion_stacks(monkeypatch, limit=None):
+    """Record the stack size of every ``criteria._criterion`` call; raise past ``limit`` calls."""
+    stacks = []
+    original = bellri.criteria._criterion
+
+    def counting(t):
+        stacks.append(t.shape[0] if t.ndim == 3 else 1)
+        if limit is not None and len(stacks) > limit:
+            raise RuntimeError("bisection does not terminate")
+        return original(t)
+
+    monkeypatch.setattr(bellri.criteria, "_criterion", counting)
+    return stacks
 
 
 class TestRiCriterion:
@@ -161,18 +183,14 @@ class TestCriticalVisibility:
         assert critical_visibility(maximally_mixed(), maximally_mixed(), 1e-9) is None
 
     def test_coarse_tolerance_and_step_count(self, monkeypatch):
-        calls = {"n": 0}
-        original = bellri.criteria.evaluate_ri_criterion
-
-        def counting(t):
-            calls["n"] += 1
-            return original(t)
-
-        monkeypatch.setattr(bellri.criteria, "evaluate_ri_criterion", counting)
+        stacks = count_criterion_stacks(monkeypatch)
         v = critical_visibility(make_singlet(), maximally_mixed(), 1e-3)
         assert abs(v - 0.75) <= 1e-3
-        # two bracket probes plus ceil(log2(1/tol)) = 10 bisection steps
-        assert calls["n"] <= 12 + 2
+        # ceil(log2(1/tol)) = 10 bisection levels, _DEPTH per stacked call; the
+        # first call also holds the two endpoint probes
+        assert len(stacks) <= 2 + math.ceil(10 / _DEPTH)
+        assert stacks[0] == 2 + 2**_DEPTH - 1
+        assert all(n == 2**_DEPTH - 1 for n in stacks[1:])
 
     def test_validates_each_endpoint_once(self, monkeypatch):
         calls = {"n": 0}
@@ -189,24 +207,15 @@ class TestCriticalVisibility:
     def test_tolerance_below_double_spacing_terminates(self, monkeypatch):
         # near 0.75 adjacent doubles are 2^-53 apart, so a 1e-300 bracket is
         # unreachable; the bisection must stop at two adjacent doubles
-        calls = {"n": 0}
-        original = bellri.criteria.evaluate_ri_criterion
-
-        def counting(t):
-            calls["n"] += 1
-            if calls["n"] > 200:
-                raise RuntimeError("bisection does not terminate")
-            return original(t)
-
-        monkeypatch.setattr(bellri.criteria, "evaluate_ri_criterion", counting)
+        stacks = count_criterion_stacks(monkeypatch, limit=2 + math.ceil(64 / _DEPTH))
         t_pure = compute_tensor(make_singlet())
         t_noise = compute_tensor(maximally_mixed())
 
         def violated_at(v):
-            return original(v * t_pure + (1.0 - v) * t_noise).violated
+            return evaluate_ri_criterion(v * t_pure + (1.0 - v) * t_noise).violated
 
         v = critical_visibility(make_singlet(), maximally_mixed(), 1e-300)
-        assert calls["n"] <= 2 + 64
+        assert stacks
         assert abs(v - 0.75) <= 1e-12
         # the result is one end of the final bracket of adjacent doubles
         assert violated_at(np.nextafter(v, 2.0))
@@ -231,6 +240,88 @@ class TestCriticalVisibility:
         rng_free = make_singlet()
         with pytest.raises(DomainError, match="zero visibility"):
             critical_visibility(maximally_mixed(), rng_free, 1e-6)
+
+
+def random_pure(rng):
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    psi /= np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
+
+
+def random_mixed(rng):
+    w = rng.uniform()
+    return w * random_pure(rng) + (1.0 - w) * random_density_matrix(rng)
+
+
+# ROADMAP item F: both endpoints satisfy the criterion, and the segment between
+# them violates it only on about (0.3155, 0.3828)
+F_PURE = bell_diagonal((0.587, 0.587, -1.0))
+F_NOISE = bell_diagonal((1.0, 0.762, -0.762))
+
+
+def endpoint_pairs():
+    """Seeded (pure, noise) pairs whose bisections end in a float, None or a DomainError."""
+    rng = np.random.default_rng(2007)
+    pairs = [(random_pure(rng), random_mixed(rng)) for _ in range(40)]
+    pairs += [(make_singlet(), random_mixed(rng)) for _ in range(20)]
+    pairs += [(random_mixed(rng), random_mixed(rng)) for _ in range(20)]
+    kets = [np.outer(e, e) for e in np.eye(4)[:2]]
+    pairs += [(make_singlet(), noise) for noise in [maximally_mixed(), *kets]]
+    return pairs + [(F_PURE, F_NOISE)]
+
+
+def outcome(bisect, pure, noise, tol):
+    try:
+        return bisect(pure, noise, tol)
+    except DomainError as exc:
+        return str(exc)
+
+
+class TestBisectionMatchesTheOnePointOracle:
+    PAIRS = endpoint_pairs()
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6, 1e-3, 0.3, 1e-300, 5e-324])
+    def test_same_float_or_same_error(self, monkeypatch, tol):
+        wants = [outcome(bisect_one_point, pure, noise, tol) for pure, noise in self.PAIRS]
+        # a bisection on [0, 1] halves its bracket at most 1075 times (the
+        # doubles down to 2^-1074), so more stacked calls mean it does not end
+        stacks = count_criterion_stacks(monkeypatch, limit=2 + math.ceil(1075 / _DEPTH))
+        kinds = set()
+        for (pure, noise), want in zip(self.PAIRS, wants):
+            stacks.clear()
+            got = outcome(critical_visibility, pure, noise, tol)
+            assert type(got) is type(want) and got == want
+            kinds.add(type(got))
+        # the pairs reach every exit: a threshold, no violation, violated at zero
+        assert kinds == {float, type(None), str}
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-300])
+    def test_violation_only_inside_the_segment_is_missed_by_both(self, tol):
+        assert evaluate_ri_criterion(
+            0.35 * compute_tensor(F_PURE) + 0.65 * compute_tensor(F_NOISE)
+        ).violated
+        assert critical_visibility(F_PURE, F_NOISE, tol) is None
+        assert bisect_one_point(F_PURE, F_NOISE, tol) is None
+
+
+class TestStackedCriterion:
+    def test_a_stack_has_the_bits_of_one_tensor_at_a_time(self):
+        # the bisection judges a stack of mixtures and walks its flags as if
+        # each had been judged alone, which holds only if the bits agree
+        rng = np.random.default_rng(31)
+        v = np.linspace(0.74, 0.76, 201)[:, None, None]
+        singlet, white = compute_tensor(make_singlet()), compute_tensor(maximally_mixed())
+        stack = np.concatenate([
+            rng.uniform(-1.0, 1.0, (2000, 3, 3)),
+            v * singlet + (1.0 - v) * white,
+        ])
+        alone = [np.array(side) for side in zip(*(_criterion(t) for t in stack))]
+        assert any(alone[2]) and not all(alone[2])
+        for size in (len(stack), 2 + 2**_DEPTH - 1, 2**_DEPTH - 1):
+            for start in range(0, len(stack), size):
+                part = slice(start, start + size)
+                for got, want in zip(_criterion(stack[part]), alone):
+                    assert got.tobytes() == want[part].tobytes()
 
 
 class TestInnerProductEe:
