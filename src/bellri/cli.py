@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
@@ -41,8 +40,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.format not in ("json", "csv"):
             raise DomainError(f"format must be 'json' or 'csv', got {self.format!r}")
-        if not 0.0 < self.tol < math.inf:
-            raise DomainError(f"tol must be positive and finite, got {self.tol}")
+        states._whole(self.seed, "seed", 0)
+        states._tolerance(self.tol, "tol")
 
 
 class Output(NamedTuple):

@@ -25,7 +25,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .states import _real, _whole
+from .states import _tolerance, _whole
 from .tensor import as_tensor, compute_tensor
 
 CRITERION_FACTOR = 2.25  # (3/2)^2
@@ -181,9 +181,7 @@ def critical_visibility(pure_state: Any, noise: Any, tol: float) -> Optional[flo
     endpoint is validated once. Each stacked criterion call judges every midpoint
     of the next ``_DEPTH`` steps: the same points and bits as one point per step.
     """
-    tol = _real(tol, "tolerance")
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tolerance must be positive and finite, got {tol}")
+    tol = _tolerance(tol, "tolerance")
     t_pure, t_noise = compute_tensor(pure_state), compute_tensor(noise)
 
     def violated(vs: list[float]) -> list[bool]:

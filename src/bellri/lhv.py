@@ -54,6 +54,12 @@ class LhvTwoSettingModel:
     r1: np.ndarray
     r2: np.ndarray
 
+    def __post_init__(self) -> None:
+        # every model is checked, whether build_model or a caller constructs it
+        object.__setattr__(self, "v", require_visibility(self.v))
+        for name, r in (("r1", self.r1), ("r2", self.r2)):
+            object.__setattr__(self, name, np.eye(3) if r is None else validate_rotation(r))
+
     @property
     def flip_probability(self) -> float:
         """Probability that the second outcome opposes the first on a matched axis."""
@@ -87,10 +93,7 @@ def build_model(
     Frames default to the identity. The model's correlations at its own axes
     are ``-v`` on matched and ``0`` on mismatched axes regardless of frames.
     """
-    v = require_visibility(v)
-    rot1 = np.eye(3) if r1 is None else validate_rotation(r1)
-    rot2 = np.eye(3) if r2 is None else validate_rotation(r2)
-    return LhvTwoSettingModel(v=v, r1=rot1, r2=rot2)
+    return LhvTwoSettingModel(v=v, r1=r1, r2=r2)
 
 
 def _axis_streams(seed: int) -> list[np.random.Generator]:
@@ -99,14 +102,6 @@ def _axis_streams(seed: int) -> list[np.random.Generator]:
     # reproducible regardless of which axes a caller consumes
     children = np.random.SeedSequence(seed).spawn(6)
     return [np.random.default_rng(s) for s in children]
-
-
-def _axis(x: Any, name: str) -> int:
-    """``x`` as an axis index; :class:`DomainError` unless it is a whole number in 1..3."""
-    k = _whole(x, name)
-    if not 1 <= k <= 3:
-        raise DomainError(f"{name} must lie in 1..3, got {k}")
-    return k
 
 
 # Leaves of numpy's pairwise summation tree. np.add.reduce over a contiguous
@@ -137,16 +132,10 @@ def estimate_correlation(
     ``n`` must lie in ``1000..MAX_SAMPLES`` (10^9); any other count raises
     :class:`DomainError` before anything is allocated.
     """
-    i = _axis(i, "axis index i")
-    j = _axis(j, "axis index j")
-    n = _whole(n, "sample count n")
-    if n < 1000:
-        raise DomainError(f"need at least 1000 samples, got {n}")
-    if n > MAX_SAMPLES:
-        raise DomainError(f"sample count n must be at most {MAX_SAMPLES}, got {n}")
-    seed = _whole(seed, "seed")
-    if seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed}")
+    i = _whole(i, "axis index i", 1, 3)
+    j = _whole(j, "axis index j", 1, 3)
+    n = _whole(n, "sample count n", 1000, MAX_SAMPLES)
+    seed = _whole(seed, "seed", 0)
     streams = _axis_streams(seed)
     flips = streams[3 + (j - 1)]
     coins = (streams[i - 1].bit_generator, streams[j - 1].bit_generator)
@@ -194,8 +183,8 @@ def estimate_correlation(
 
 def mc_report(model: LhvTwoSettingModel, i: int, j: int, est: McEstimate) -> dict:
     """JSON payload for one estimate: target and a 5-sigma pass flag included."""
-    i = _axis(i, "axis index i")
-    j = _axis(j, "axis index j")
+    i = _whole(i, "axis index i", 1, 3)
+    j = _whole(j, "axis index j", 1, 3)
     target = -model.v if i == j else 0.0
     if est.std_error > 0.0:
         ok = abs(est.mean - target) <= 5.0 * est.std_error
@@ -224,11 +213,7 @@ def sweep_margins(v_min: float, v_max: float, steps: int) -> tuple[list, list, l
     v_max = require_visibility(v_max)
     if v_max < v_min:
         raise DomainError(f"need v_min <= v_max, got [{v_min}, {v_max}]")
-    steps = _whole(steps, "step count steps")
-    if steps < 1:
-        raise DomainError(f"need at least one step, got {steps}")
-    if steps > MAX_STEPS:
-        raise DomainError(f"step count steps must be at most {MAX_STEPS}, got {steps}")
+    steps = _whole(steps, "step count steps", 1, MAX_STEPS)
     grid = np.linspace(v_min, v_max, steps)
     singlet = validate_density_matrix(make_singlet())
     white = validate_density_matrix(maximally_mixed())

@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 import numbers
 from typing import Any
 
@@ -28,33 +29,49 @@ EIGENVALUE_FLOOR = -1e-10
 UNITARITY_TOL = 1e-12
 
 
-def _real(x: Any, name: str) -> float:
-    """``x`` as a float; :class:`DomainError` naming ``name`` unless it converts."""
+def _in_range(x: Any, name: str, lo: Any, hi: Any) -> Any:
+    """``x`` itself; :class:`DomainError` naming ``name`` unless ``lo <= x <= hi``."""
+    # a bound of None is open; the negated comparisons fail NaN as well
+    if lo is not None and not x >= lo:
+        raise DomainError(f"{name} must be at least {lo}, got {x}")
+    if hi is not None and not x <= hi:
+        raise DomainError(f"{name} must be at most {hi}, got {x}")
+    return x
+
+
+def _real(x: Any, name: str, lo: Any = None, hi: Any = None) -> float:
+    """``x`` as a float in ``[lo, hi]``; :class:`DomainError` naming ``name`` otherwise."""
     try:
-        return float(x)
+        f = float(x)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{name} must be a real number, got {x!r}") from exc
+    return _in_range(f, name, lo, hi)
+
+
+def _whole(x: Any, name: str, lo: Any = None, hi: Any = None) -> int:
+    """``x`` as an int in ``[lo, hi]``; :class:`DomainError` unless it is a finite whole number there."""
+    if not isinstance(x, numbers.Integral):
+        try:
+            f = float(x)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"{name} must be a whole number, got {x!r}") from exc
+        if not f.is_integer():  # False for NaN and inf as well
+            raise DomainError(f"{name} must be a finite whole number, got {x!r}")
+        x = f
+    return _in_range(int(x), name, lo, hi)
+
+
+def _tolerance(x: Any, name: str) -> float:
+    """``x`` as a float with ``0 < x < inf``; :class:`DomainError` naming ``name`` otherwise."""
+    tol = _real(x, name)
+    if not 0.0 < tol < math.inf:  # False for NaN as well
+        raise DomainError(f"{name} must be positive and finite, got {tol}")
+    return tol
 
 
 def require_visibility(v: float) -> float:
     """Check that ``v`` is a valid visibility (mixing weight) in [0, 1]."""
-    v = _real(v, "visibility")
-    if not 0.0 <= v <= 1.0:
-        raise DomainError(f"visibility must lie in [0, 1], got {v}")
-    return v
-
-
-def _whole(x: Any, name: str) -> int:
-    """``x`` as an int; :class:`DomainError` unless it is a finite whole number."""
-    if isinstance(x, numbers.Integral):
-        return int(x)
-    try:
-        f = float(x)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be a whole number, got {x!r}") from exc
-    if not f.is_integer():  # False for NaN and inf as well
-        raise DomainError(f"{name} must be a finite whole number, got {x!r}")
-    return int(f)
+    return _real(v, "visibility", 0, 1)
 
 
 def _as_array(x: Any, dtype: type, what: str) -> np.ndarray:
@@ -164,15 +181,13 @@ def matrix_to_json(m: Any) -> dict:
 def matrix_from_json(payload: Any) -> np.ndarray:
     """Inverse of :func:`matrix_to_json`; NaN and inf entries raise :class:`DomainError`."""
     try:
-        rows = _whole(payload["rows"], "rows")
-        cols = _whole(payload["cols"], "cols")
+        rows = _whole(payload["rows"], "rows", 1)
+        cols = _whole(payload["cols"], "cols", 1)
         entries = list(payload["entries"])
     except KeyError as exc:
         raise DomainError(f"matrix payload is missing field {exc}") from exc
     except (TypeError, DomainError) as exc:
         raise DomainError(f"malformed matrix payload: {exc}") from exc
-    if rows <= 0 or cols <= 0:
-        raise DomainError(f"matrix dimensions must be positive, got {rows}x{cols}")
     if len(entries) != rows * cols:
         raise DomainError(
             f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"

@@ -289,7 +289,7 @@ class TestLhvCommand:
         argv = ["lhv", "--v", "0.5", "--i", "1", "--j", "1", "--n", "2000", "--seed", "-1"]
         code, out, err = run(capsys, *argv)
         assert_one_line_error(code, out, err)
-        assert "seed must be non-negative" in err
+        assert "seed must be at least 0" in err
 
     def test_rejects_small_n(self, capsys):
         code, _, err = run(capsys, "lhv", "--v", "0.5", "--i", "1", "--j", "1", "--n", "10")
@@ -422,13 +422,21 @@ class TestConfigAndDeterminism:
         _, out_flag, _ = run(capsys, *argv_flag)
         assert out_cfg == out_flag
 
-    def test_rejects_negative_config_seed(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lhv", "--v", "0.5", "--i", "1", "--j", "1", "--n", "2000"],
+            ["tensor", "--state", "singlet"],
+        ],
+        ids=["lhv", "tensor"],
+    )
+    def test_rejects_negative_config_seed(self, tmp_path, capsys, argv):
+        # the config is checked whole, also by a subcommand that draws no samples
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed=-5\n")
-        argv = ["lhv", "--v", "0.5", "--i", "1", "--j", "1", "--n", "2000", "--config", str(cfg)]
-        code, out, err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
         assert_one_line_error(code, out, err)
-        assert "seed must be non-negative" in err
+        assert "seed must be at least 0" in err
 
     def test_rejects_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -18,6 +18,7 @@ from reference import (
 import bellri
 from bellri import (
     DomainError,
+    LhvTwoSettingModel,
     build_model,
     chsh_complete_set,
     compute_tensor,
@@ -40,6 +41,11 @@ from bellri.lhv import (
 )
 
 AXES = np.eye(3)
+# the two ways to make a model, which must run the same checks
+MAKE_MODEL = {
+    "build_model": build_model,
+    "constructor": lambda v, r1=None, r2=None: LhvTwoSettingModel(v=v, r1=r1, r2=r2),
+}
 AXIS_PAIRS = list(itertools.product((1, 2, 3), repeat=2))
 BIG = 10**39  # a 40-digit count
 
@@ -86,6 +92,31 @@ class TestBuildModel:
     def test_rejects_bad_frame(self):
         with pytest.raises(DomainError):
             build_model(0.5, np.eye(3) * 2.0)
+
+    @pytest.mark.parametrize("make", MAKE_MODEL.values(), ids=MAKE_MODEL.keys())
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf, 1.5, -0.1])
+    def test_either_path_rejects_visibility_outside_the_unit_interval(self, make, v):
+        with pytest.raises(DomainError, match="visibility must be at"):
+            make(v)
+
+    @pytest.mark.parametrize("make", MAKE_MODEL.values(), ids=MAKE_MODEL.keys())
+    @pytest.mark.parametrize("frame", ["r1", "r2"])
+    @pytest.mark.parametrize(
+        "bad",
+        [np.eye(3) * 2.0, np.diag([1.0, 1.0, -1.0]), np.full((3, 3), np.nan)],
+        ids=["scaled", "reflection", "nan"],
+    )
+    def test_either_path_rejects_a_frame_that_is_not_a_rotation(self, make, frame, bad):
+        with pytest.raises(DomainError):
+            make(0.5, **{frame: bad})
+
+    def test_both_paths_make_the_same_model(self):
+        r = random_rotation(3)
+        a = build_model(np.float32(0.5), r)
+        b = LhvTwoSettingModel(v=np.float32(0.5), r1=r, r2=None)
+        for m in (a, b):
+            assert type(m.v) is float and m.v == 0.5
+            assert np.array_equal(m.r1, r) and np.array_equal(m.r2, np.eye(3))
 
     def test_exact_correlations_match_probability_algebra(self):
         # independent oracle in exact arithmetic: matched-axis correlation is

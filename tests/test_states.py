@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,13 +8,20 @@ from reference import check_uu_invariance, random_unitary_2x2, unit_vector
 
 from bellri import (
     DomainError,
+    McEstimate,
+    build_model,
+    critical_visibility,
+    estimate_correlation,
     make_singlet,
     make_werner,
     matrix_from_json,
     matrix_to_json,
     maximally_mixed,
+    mc_report,
     validate_density_matrix,
+    verdict_sweep,
 )
+from bellri.cli import RunConfig
 from bellri.states import require_unitary
 from bellri.tensor import as_tensor, validate_rotation
 
@@ -166,10 +174,18 @@ class TestJsonCodec:
         with pytest.raises(DomainError, match="malformed matrix payload"):
             matrix_from_json(payload)
 
-    @pytest.mark.parametrize("field", ["rows", "cols"])
-    def test_rejects_fractional_dimension(self, field):
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            pytest.param(field, bad, id=field + suffix)
+            for bad, suffix in [(2.9, ""), (0, "-zero"), (-1, "-negative")]
+            for field in ["rows", "cols"]
+        ],
+    )
+    def test_rejects_fractional_dimension(self, field, bad):
+        # and whole dimensions below 1
         payload = {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}
-        payload[field] = 2.9
+        payload[field] = bad
         with pytest.raises(DomainError, match=f"malformed matrix payload: {field} must be"):
             matrix_from_json(payload)
 
@@ -248,3 +264,50 @@ class TestConverters:
         # json.dumps would write NaN and inf as the non-JSON tokens NaN and Infinity
         with pytest.raises(DomainError):
             matrix_to_json(bad)
+
+
+# each range-checked scalar argument: the name its DomainError reports, a
+# public call taking the bad value there, and one finite value out of its range
+SCALAR_ARGUMENTS = [
+    pytest.param("visibility", make_werner, 1.5, id="visibility"),
+    pytest.param("visibility", lambda x: verdict_sweep(0.0, x, 3), -0.5, id="v_max"),
+    pytest.param(
+        "axis index i", lambda x: estimate_correlation(build_model(0.5), x, 1, 1000, 0), 4, id="i"
+    ),
+    pytest.param(
+        "axis index j",
+        lambda x: mc_report(build_model(0.5), 1, x, McEstimate(0.0, 0.1, 1000)),
+        0,
+        id="j",
+    ),
+    pytest.param(
+        "sample count n", lambda x: estimate_correlation(build_model(0.5), 1, 1, x, 0), 999, id="n"
+    ),
+    pytest.param(
+        "seed", lambda x: estimate_correlation(build_model(0.5), 1, 1, 1000, x), -1, id="seed"
+    ),
+    pytest.param("step count steps", lambda x: verdict_sweep(0.0, 1.0, x), 0, id="steps"),
+    pytest.param(
+        "rows", lambda x: matrix_from_json({"rows": x, "cols": 1, "entries": []}), 0, id="rows"
+    ),
+    pytest.param(
+        "cols", lambda x: matrix_from_json({"rows": 1, "cols": x, "entries": []}), -1, id="cols"
+    ),
+    pytest.param(
+        "tolerance",
+        lambda x: critical_visibility(make_singlet(), maximally_mixed(), x),
+        0.0,
+        id="tolerance",
+    ),
+    pytest.param("tol", lambda x: RunConfig(tol=x), -1e-9, id="config-tol"),
+    pytest.param("seed", lambda x: RunConfig(seed=x), -5, id="config-seed"),
+]
+
+
+class TestScalarRanges:
+    @pytest.mark.parametrize("name, call, out_of_range", SCALAR_ARGUMENTS)
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "out-of-range"])
+    def test_bad_value_is_a_domain_error_naming_the_argument(self, name, call, out_of_range, bad):
+        x = out_of_range if bad == "out-of-range" else float(bad)
+        with pytest.raises(DomainError, match=re.escape(name) + " must be"):
+            call(x)
