@@ -71,7 +71,7 @@ def _read_text(path: str, what: str) -> str:
 def load_config(path: str) -> RunConfig:
     """Parse a ``key=value`` config file (``#`` comments, blank lines ignored)."""
     parsers = {f.name: type(f.default) for f in fields(RunConfig)}
-    values: dict = {}
+    cfg = RunConfig()
     for lineno, raw in enumerate(_read_text(path, "config").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -82,11 +82,14 @@ def load_config(path: str) -> RunConfig:
         key = key.strip()
         if key not in parsers:
             raise DomainError(f"{path!r}:{lineno}: unknown config key {key!r}")
+        # each line is applied and checked on its own, so a value that parses
+        # but is out of range is reported at its line too (DomainError is a
+        # ValueError)
         try:
-            values[key] = parsers[key](value.strip())
+            cfg = replace(cfg, **{key: parsers[key](value.strip())})
         except ValueError as exc:
             raise DomainError(f"{path!r}:{lineno}: bad value for {key}: {exc}") from exc
-    return RunConfig(**values)
+    return cfg
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -184,24 +187,29 @@ def cmd_lhv(args: argparse.Namespace, cfg: RunConfig) -> Output:
 
 
 # one verdict record as json.dumps(..., indent=2, sort_keys=True) writes it
-# inside a list: keys sorted, %r is the float.__repr__ json uses for a finite
-# float, and the explanation codes need no escaping
+# inside a list, with its flag's fields filled in: keys sorted, %r is the
+# float.__repr__ json uses for a finite float, and the explanation codes need
+# no escaping
 _SWEEP_RECORD = """\
   {
     "consistent": %s,
-    "criterion_margin": %r,
+    "criterion_margin": %%r,
     "explanation_code": "%s",
-    "v": %r
+    "v": %%r
   }"""
-_SWEEP_VERDICT = {False: ("true", lhv.CONSISTENT), True: ("false", lhv.RI_VIOLATED)}
+_SWEEP_TEMPLATE = {
+    False: _SWEEP_RECORD % ("true", lhv.CONSISTENT),
+    True: _SWEEP_RECORD % ("false", lhv.RI_VIOLATED),
+}
 
 
 def _sweep_json(vs: list, margins: list, flags: list) -> str:
-    records = []
-    for v, margin, bad in zip(vs, margins, flags):
-        consistent, code = _SWEEP_VERDICT[bad]
-        records.append(_SWEEP_RECORD % (consistent, margin, code, v))
-    return "[\n" + ",\n".join(records) + "\n]"
+    # each flag picks its record's template, and one % over the interleaved
+    # margins and visibilities fills them all: the float reprs are the only
+    # work per point
+    values = [None] * (2 * len(vs))
+    values[::2], values[1::2] = margins, vs
+    return ("[\n" + ",\n".join(map(_SWEEP_TEMPLATE.__getitem__, flags)) + "\n]") % tuple(values)
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> Output:
@@ -285,12 +293,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = _resolve_config(args)
         out = args.handler(args, cfg)
         if cfg.format == "json":
-            payload = out.payload()
-            if not isinstance(payload, str):
-                payload = json.dumps(payload, indent=2, sort_keys=True)
-            text = payload + "\n"
+            text = out.payload()
+            if not isinstance(text, str):
+                text = json.dumps(text, indent=2, sort_keys=True)
+            text += "\n"  # rebinding frees the text without the newline
         else:
             text = _csv(out.header, out.rows())
+        code = out.code
+        del out  # frees the lists behind the text before it is written
         if cfg.output == STDOUT_MARKER:
             sys.stdout.write(text)
         else:
@@ -298,7 +308,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 Path(cfg.output).write_text(text, encoding="utf-8")
             except ValueError as exc:  # a NUL in the path
                 raise DomainError(f"cannot write output file {cfg.output!r}: {exc}") from exc
-        return out.code
+        return code
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

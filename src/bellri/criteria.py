@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError
 from .states import _tolerance, _whole
-from .tensor import as_tensor, compute_tensor
+from .tensor import _top_singular, as_tensor, compute_tensor
 
 CRITERION_FACTOR = 2.25  # (3/2)^2
 CHSH_BOUND = 2.0
@@ -89,7 +89,7 @@ class BoundReport:
 def _criterion(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Left side, right side and violation flag on a ``(..., 3, 3)`` stack of tensors."""
     lhs = (t * t).sum(axis=(-2, -1))
-    rhs = CRITERION_FACTOR * np.linalg.svd(t, compute_uv=False)[..., 0]
+    rhs = CRITERION_FACTOR * _top_singular(t, lhs)
     return lhs, rhs, lhs > rhs + EQUALITY_SLACK
 
 

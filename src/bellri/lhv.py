@@ -41,9 +41,12 @@ RI_VIOLATED = "ri-criterion-violated"
 
 # upper limits on the sizes callers may ask for, checked before anything is
 # allocated: 10^9 samples keep 125 MB of packed signs, and a sweep peaks near
-# 600 B per point, so 10^6 steps stay under 1 GB
+# 400 B per point, so 10^6 steps stay under 1 GB
 MAX_SAMPLES = 10**9
 MAX_STEPS = 10**6
+# sweep points mixed and judged per stacked criterion call: the complex
+# states and their temporaries take ~540 B per point, ~0.55 MB per chunk
+_CHUNK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,10 +58,14 @@ class LhvTwoSettingModel:
     r2: np.ndarray
 
     def __post_init__(self) -> None:
-        # every model is checked, whether build_model or a caller constructs it
+        # every model is checked, whether build_model or a caller constructs it,
+        # and keeps read-only copies of its frames, which the caller's arrays
+        # cannot change afterwards
         object.__setattr__(self, "v", require_visibility(self.v))
         for name, r in (("r1", self.r1), ("r2", self.r2)):
-            object.__setattr__(self, name, np.eye(3) if r is None else validate_rotation(r))
+            frame = np.eye(3) if r is None else np.array(validate_rotation(r))
+            frame.flags.writeable = False
+            object.__setattr__(self, name, frame)
 
     @property
     def flip_probability(self) -> float:
@@ -205,9 +212,10 @@ def mc_report(model: LhvTwoSettingModel, i: int, j: int, est: McEstimate) -> dic
 def sweep_margins(v_min: float, v_max: float, steps: int) -> tuple[list, list, list]:
     """Visibilities, criterion margins and violation flags of the noisy singlet, as lists.
 
-    The visibilities are ``np.linspace(v_min, v_max, steps)``, all checked by
-    one stacked criterion; ``steps`` must lie in ``1..MAX_STEPS`` (10^6), and
-    memory is linear in it.
+    The visibilities are ``np.linspace(v_min, v_max, steps)``, judged by one
+    stacked criterion per ``_CHUNK`` of them; ``steps`` must lie in
+    ``1..MAX_STEPS`` (10^6). The stacked states exist one chunk at a time, so
+    only the grid and the three lists grow with ``steps``.
     """
     v_min = require_visibility(v_min)
     v_max = require_visibility(v_max)
@@ -217,13 +225,20 @@ def sweep_margins(v_min: float, v_max: float, steps: int) -> tuple[list, list, l
     grid = np.linspace(v_min, v_max, steps)
     singlet = validate_density_matrix(make_singlet())
     white = validate_density_matrix(maximally_mixed())
-    # a mixture of two valid states is valid, so no point is revalidated. The
-    # states are mixed with make_werner's elementwise arithmetic, which keeps
-    # every margin bit-identical to the one-point path; mixing the endpoint
-    # tensors instead moves T_zz by an ulp at some visibilities
-    rhos = grid[:, None, None] * singlet + (1.0 - grid)[:, None, None] * white
-    lhs, rhs, violated = _criterion(_pauli_expectations(rhos))
-    return grid.tolist(), (lhs - rhs).tolist(), violated.tolist()
+    margins: list = []
+    violated: list = []
+    for lo in range(0, steps, _CHUNK):
+        # a mixture of two valid states is valid, so no point is revalidated.
+        # The states are mixed with make_werner's elementwise arithmetic, which
+        # keeps every margin bit-identical to the one-point path (mixing the
+        # endpoint tensors instead moves T_zz by an ulp at some visibilities),
+        # and a stacked entry has the bits of the entry alone, so the chunks
+        # change no bit either
+        v = grid[lo : lo + _CHUNK, None, None]
+        lhs, rhs, bad = _criterion(_pauli_expectations(v * singlet + (1.0 - v) * white))
+        margins += (lhs - rhs).tolist()
+        violated += bad.tolist()
+    return grid.tolist(), margins, violated
 
 
 def consistency_verdict(v: float) -> ConsistencyVerdict:
@@ -238,7 +253,7 @@ def consistency_verdict(v: float) -> ConsistencyVerdict:
 
 def verdict_sweep(v_min: float, v_max: float, steps: int) -> list[ConsistencyVerdict]:
     """Verdicts at the points of :func:`sweep_margins` (``1 <= steps <= MAX_STEPS``)."""
-    return [
-        ConsistencyVerdict(v, margin, not bad, RI_VIOLATED if bad else CONSISTENT)
-        for v, margin, bad in zip(*sweep_margins(v_min, v_max, steps))
-    ]
+    vs, margins, violated = sweep_margins(v_min, v_max, steps)
+    consistent = [not bad for bad in violated]
+    codes = [RI_VIOLATED if bad else CONSISTENT for bad in violated]
+    return list(map(ConsistencyVerdict, vs, margins, consistent, codes))

@@ -6,7 +6,7 @@ pairs of local Cartesian axes gives a real 3x3 tensor T that reproduces the
 correlation at *every* direction pair through the bilinear form ``n1^T T n2``.
 This module computes T, transforms it under rotations of the two local
 frames, and extracts its largest attainable component (the largest singular
-value).
+value, the square root of the top eigenvalue of ``T^T T``).
 """
 
 from __future__ import annotations
@@ -20,6 +20,12 @@ from .states import PAULIS, _finite_array, require_unitary, validate_density_mat
 
 ROTATION_TOL = 1e-12
 IMAG_RESIDUE_TOL = 1e-12
+# squared-entry sums for which T^T T is formed and diagonalised as it is: its
+# largest entry lies in [sum/3, sum], inside the range where LAPACK's dsyevd
+# applies no scaling of its own, so the top eigenvalue of a diagonal tensor's
+# Gram matrix is the largest d^2 and its root is max |d|
+_SQ_MIN = 2.0**-480
+_SQ_MAX = 2.0**480
 
 # Tr(M O) = vec(M) . vec(O^T) with row-major vec, so row 3i + j holding
 # vec((sigma_i (x) sigma_j)^T) maps vec(M) to the nine axis-pair expectations
@@ -76,6 +82,41 @@ def rotate_tensor(t: Any, r1: Any, r2: Any) -> np.ndarray:
     return validate_rotation(r1) @ as_tensor(t) @ validate_rotation(r2).T
 
 
+def _gram_top(t: np.ndarray) -> Any:
+    """Root of the top eigenvalue of ``T^T T`` for each tensor of a ``(..., 3, 3)`` stack."""
+    return np.sqrt(np.linalg.eigvalsh(t.swapaxes(-1, -2) @ t)[..., -1])
+
+
+def _top_singular(t: np.ndarray, sq: Any) -> Any:
+    """Largest singular value of each tensor of a ``(..., 3, 3)`` stack.
+
+    ``sq`` holds the squared-entry sums of ``t`` as computed in floating
+    point (0 or inf where they under- or overflow). The value is the root of
+    the top eigenvalue of ``T^T T``. A nonzero tensor whose ``sq`` lies
+    outside ``[_SQ_MIN, _SQ_MAX]`` is first scaled by the power of two that
+    brings its largest entry into [1/2, 1), and its value scaled back, so
+    neither the Gram matrix nor its eigenvalues leave the float range. Every
+    tensor is judged on its own, so a stacked entry has the bits of the entry
+    alone.
+    """
+    if sq.ndim == 0:  # one tensor: compare the scalar, no array reductions
+        if _SQ_MIN <= sq <= _SQ_MAX:
+            return _gram_top(t)
+        return _top_singular(t[None], np.reshape(sq, 1))[0]
+    if sq.min() >= _SQ_MIN and sq.max() <= _SQ_MAX:
+        return _gram_top(t)
+    bad = (sq < _SQ_MIN) | (sq > _SQ_MAX)
+    sub = t[bad]
+    if not sub.any():  # only zero tensors, whose T^T T = 0 is exact as it is
+        return _gram_top(t)
+    e = np.frexp(np.abs(sub).max(axis=(-2, -1)))[1]
+    t = t.copy()
+    t[bad] = np.ldexp(sub, -e[:, None, None])
+    top = _gram_top(t)
+    top[bad] = np.ldexp(top[bad], e)
+    return top
+
+
 def tensor_max_svd(t: Any) -> float:
     """Largest attainable correlation ``max n1^T T n2`` over unit vectors.
 
@@ -83,7 +124,10 @@ def tensor_max_svd(t: Any) -> float:
     pair, so this is the largest singular value of T (the sign of any
     component can be absorbed by flipping one direction).
     """
-    return float(np.linalg.svd(as_tensor(t), compute_uv=False)[0])
+    a = as_tensor(t)
+    with np.errstate(over="ignore"):  # an overflowing sum only sends T to rescaling
+        sq = (a * a).sum()
+    return float(_top_singular(a, sq))
 
 
 def rotation_from_unitary(u: Any) -> np.ndarray:

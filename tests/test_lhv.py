@@ -30,7 +30,9 @@ from bellri import (
     verdict_sweep,
 )
 from bellri.cli import main
+from bellri.criteria import _criterion
 from bellri.lhv import (
+    _CHUNK,
     _LEAF,
     CONSISTENT,
     MAX_SAMPLES,
@@ -38,7 +40,10 @@ from bellri.lhv import (
     RI_VIOLATED,
     _axis_streams,
     _pairwise,
+    sweep_margins,
 )
+from bellri.states import make_singlet, maximally_mixed
+from bellri.tensor import _pauli_expectations
 
 AXES = np.eye(3)
 # the two ways to make a model, which must run the same checks
@@ -109,6 +114,16 @@ class TestBuildModel:
     def test_either_path_rejects_a_frame_that_is_not_a_rotation(self, make, frame, bad):
         with pytest.raises(DomainError):
             make(0.5, **{frame: bad})
+
+    @pytest.mark.parametrize("make", MAKE_MODEL.values(), ids=MAKE_MODEL.keys())
+    def test_frames_are_read_only_copies(self, make):
+        r = random_rotation(4)
+        model = make(0.5, r)
+        r[0, 0] = 7.0
+        assert np.array_equal(model.r1, random_rotation(4))
+        for frame in (model.r1, model.r2):
+            with pytest.raises(ValueError, match="read-only"):
+                frame[0, 0] = 7.0
 
     def test_both_paths_make_the_same_model(self):
         r = random_rotation(3)
@@ -441,6 +456,31 @@ class TestVerdictSweep:
         verdicts = verdict_sweep(ends[0], ends[1], steps)
         assert len(verdicts) == steps and verdicts[0].v == ends[0]
         assert_matches_per_point(verdicts)
+
+    @pytest.mark.parametrize("steps", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    @pytest.mark.parametrize("ends", [(0.0, 1.0), (0.7, 0.8), (0.3, 0.3)])
+    def test_chunks_keep_the_bits_of_one_stacked_call(self, ends, steps):
+        grid = np.linspace(*ends, steps)[:, None, None]
+        rhos = grid * make_singlet() + (1.0 - grid) * maximally_mixed()
+        lhs, rhs, violated = _criterion(_pauli_expectations(rhos))
+        vs, margins, flags = sweep_margins(*ends, steps)
+        assert vs == grid.ravel().tolist()
+        assert margins == (lhs - rhs).tolist()
+        assert np.signbit(margins).tolist() == np.signbit(lhs - rhs).tolist()
+        assert flags == violated.tolist()
+
+    @pytest.mark.parametrize("steps", [10001, 40001])
+    def test_peak_memory_is_the_lists_plus_one_chunk(self, steps):
+        # the grid and the three lists take ~70 B per point, and one chunk's
+        # stacked states and temporaries ~0.8 MB at any size; the whole grid
+        # stacked at once took ~540 B per point
+        tracemalloc.start()
+        try:
+            sweep_margins(0.0, 1.0, steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * steps + (1 << 20)
 
     def test_validates_each_endpoint_once(self, monkeypatch):
         calls = {"n": 0}

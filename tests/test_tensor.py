@@ -18,6 +18,7 @@ from reference import (
 from bellri import (
     DomainError,
     compute_tensor,
+    evaluate_ri_criterion,
     make_singlet,
     make_werner,
     maximally_mixed,
@@ -27,7 +28,8 @@ from bellri import (
     tensor_max_svd,
     tensor_to_json,
 )
-from bellri.tensor import _pauli_expectations
+from bellri.criteria import _criterion
+from bellri.tensor import _pauli_expectations, _top_singular
 
 SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -334,6 +336,79 @@ class TestTensorMax:
             tensor_max_grid(np.eye(3), 1, 10)
         with pytest.raises(DomainError):
             tensor_max_grid(np.eye(3), 10, 3)
+
+
+def squared_sums(t):
+    """Squared-entry sums as the criterion computes them, overflowing to inf where they do."""
+    with np.errstate(over="ignore"):
+        return (t * t).sum(axis=(-2, -1))
+
+
+def svd_top(t):
+    """Independent oracle: numpy's singular values."""
+    return np.linalg.svd(t, compute_uv=False)[..., 0]
+
+
+def mixed_stack(rng):
+    """160 tensors, interleaving zero, subnormal, tiny, ordinary and huge entries."""
+    scales = [0.0, 1e-310, 1e-200, 1e-150, 1.0, 1e150, 1e200, 1e300] * 20
+    return rng.standard_normal((len(scales), 3, 3)) * np.array(scales)[:, None, None]
+
+
+class TestTopSingular:
+    """The top eigenvalue of T^T T behind tensor_max_svd and the criterion."""
+
+    @pytest.mark.parametrize("exponent", range(-300, 301, 50))
+    def test_matches_svd_across_magnitudes(self, exponent):
+        rng = np.random.default_rng(1000 + exponent)
+        for _ in range(50):
+            t = rng.standard_normal((3, 3)) * 10.0**exponent
+            ref = float(svd_top(t))
+            assert abs(tensor_max_svd(t) - ref) <= 1e-15 * ref
+
+    def test_zero_tensor_alone_and_stacked(self):
+        zeros = np.zeros((4, 3, 3))
+        assert tensor_max_svd(zeros[0]) == 0.0
+        assert _top_singular(zeros, squared_sums(zeros)).tolist() == [0.0] * 4
+
+    def test_mixed_stack_matches_svd(self):
+        ts = mixed_stack(np.random.default_rng(31))
+        top = _top_singular(ts, squared_sums(ts))
+        ref = svd_top(ts)
+        assert np.all(np.abs(top - ref) <= 1e-15 * ref)
+
+    def test_stacked_entries_have_the_bits_of_entries_alone(self):
+        ts = mixed_stack(np.random.default_rng(32))
+        top = _top_singular(ts, squared_sums(ts))
+        alone = [_top_singular(t, squared_sums(t)) for t in ts]
+        assert top.tolist() == alone == [tensor_max_svd(t) for t in ts]
+        # a stack of strided views, like the real parts of the Pauli map
+        views = (ts + 1j).real
+        assert _top_singular(views, squared_sums(views)).tolist() == alone
+
+    def test_diagonal_tensors_give_their_largest_entry_exactly(self):
+        # Werner, singlet/white and singlet/|00> tensors are diagonal, and the
+        # pinned outputs rest on this across the whole float range
+        rng = np.random.default_rng(33)
+        d = rng.uniform(-1.0, 1.0, (2000, 3)) * 10.0 ** rng.uniform(-320.0, 308.0, (2000, 1))
+        ts = d[:, :, None] * np.eye(3)
+        want = np.abs(d).max(axis=1)
+        assert np.array_equal(_top_singular(ts, squared_sums(ts)), want)
+        assert [tensor_max_svd(t) for t in ts[:200]] == want[:200].tolist()
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_identity_out_of_the_plain_range(self, scale):
+        # unscaled, 1e-200 * I had T_max = 0.0 and 1e200 * I an inf Gram matrix
+        assert tensor_max_svd(scale * np.eye(3)) == scale
+
+    def test_criterion_on_a_huge_tensor_keeps_a_finite_right_side(self):
+        # sum T^2 overflows to inf, with numpy's warning; T_max does not
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            lhs, rhs, violated = _criterion(1e200 * np.eye(3))
+        assert (lhs, rhs, violated) == (np.inf, 2.25e200, True)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            rep = evaluate_ri_criterion(1e200 * np.eye(3))
+        assert rep.violated and rep.rhs == 2.25e200
 
 
 class TestRotations:
