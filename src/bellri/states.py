@@ -117,10 +117,11 @@ def validate_density_matrix(rho: Any) -> np.ndarray:
     semidefiniteness.
     """
     m = _finite_array(rho, complex, (4, 4), "density matrix")
-    herm = float(np.max(np.abs(m - m.conj().T)))
+    h = 0.5 * m  # exact, and h - h^dag cannot overflow; Python floats reach inf with no warning
+    herm = 2.0 * float(abs(h - h.conj().T).max())
     if herm > HERMITICITY_TOL:
         raise DomainError(f"matrix is not Hermitian: max |M - M^dag| = {herm:.3e}")
-    tr = complex(np.trace(m))
+    tr = sum(m.diagonal().tolist())
     if abs(tr - 1.0) > TRACE_TOL:
         raise DomainError(f"matrix trace {tr:.12g} differs from 1")
     lowest = float(np.linalg.eigvalsh(m).min())
@@ -154,7 +155,7 @@ def make_werner(v: float) -> np.ndarray:
 def require_unitary(u: Any) -> np.ndarray:
     """Return ``u`` as a complex 2x2 array after checking ``max |U^dag U - I| <= UNITARITY_TOL``."""
     uu = _finite_array(u, complex, (2, 2), "unitary")
-    unitarity = float(np.max(np.abs(uu.conj().T @ uu - np.eye(2))))
+    unitarity = float(abs(uu.conj().T @ uu - np.eye(2)).max())
     if unitarity > UNITARITY_TOL:
         raise DomainError(f"matrix is not unitary: max |U^dag U - I| = {unitarity:.3e}")
     return uu

@@ -16,16 +16,15 @@ from typing import Any
 import numpy as np
 
 from .errors import DomainError
-from .states import PAULIS, _finite_array, require_unitary, validate_density_matrix
+from .states import PAULIS, _as_array, _finite_array, require_unitary, validate_density_matrix
 
 ROTATION_TOL = 1e-12
 IMAG_RESIDUE_TOL = 1e-12
-# squared-entry sums for which T^T T is formed and diagonalised as it is: its
-# largest entry lies in [sum/3, sum], inside the range where LAPACK's dsyevd
-# applies no scaling of its own, so the top eigenvalue of a diagonal tensor's
-# Gram matrix is the largest d^2 and its root is max |d|
-_SQ_MIN = 2.0**-480
-_SQ_MAX = 2.0**480
+TENSOR_BOUND = 2.0**240  # largest |T_ij| that as_tensor accepts
+# LAPACK's dsyevd (through dsterf) rescales a tridiagonal block of norm below 2^-405
+# by a factor that is not a power of two; from this sum T^2 up, the block holding the
+# top eigenvalue of T^T T has norm >= sum T^2 / 9 > 2^-405 and is left as it is
+_SQ_MIN = 2.0**-400
 
 # Tr(M O) = vec(M) . vec(O^T) with row-major vec, so row 3i + j holding
 # vec((sigma_i (x) sigma_j)^T) maps vec(M) to the nine axis-pair expectations
@@ -42,7 +41,7 @@ def _pauli_expectations(m: np.ndarray) -> np.ndarray:
     z = _PAULI_ROWS @ m.reshape(-1, 16, 1)
     # the traces are real analytically; anything beyond rounding noise
     # signals an input that only barely passed its hermiticity check
-    residue = float(np.max(np.abs(z.imag)))
+    residue = float(abs(z.imag).max())
     if residue > IMAG_RESIDUE_TOL:
         raise DomainError(
             f"imaginary residue {residue:.3e} in Pauli expectations exceeds {IMAG_RESIDUE_TOL}"
@@ -51,14 +50,24 @@ def _pauli_expectations(m: np.ndarray) -> np.ndarray:
 
 
 def as_tensor(t: Any) -> np.ndarray:
-    """Return ``t`` as a real 3x3 array with finite entries."""
-    return _finite_array(t, float, (3, 3), "correlation tensor")
+    """Return ``t`` as a real 3x3 array with no entry above ``TENSOR_BOUND`` in magnitude.
+
+    Anything else, NaN and inf included, is a :class:`DomainError`. The bound, 2^240,
+    keeps ``sum T^2`` below 2^484.5, above which LAPACK's dsyevd rescales on its own,
+    so every value computed from the tensor is finite. :func:`rotate_tensor` of an
+    in-domain tensor can reach ``3 * 2^240``; such a result is rejected here.
+    """
+    a = _as_array(t, float, "correlation tensor")
+    if a.shape == (3, 3) and abs(a).max() <= TENSOR_BOUND:  # False for NaN and inf as well
+        return a
+    _finite_array(a, float, (3, 3), "correlation tensor")  # names a bad shape, NaN or inf
+    raise DomainError("correlation tensor has an entry above 2^240 in magnitude")
 
 
 def validate_rotation(r: Any) -> np.ndarray:
     """Return ``r`` as a proper rotation matrix or raise :class:`DomainError`."""
     a = _finite_array(r, float, (3, 3), "rotation matrix")
-    ortho = float(np.max(np.abs(a.T @ a - np.eye(3))))
+    ortho = float(abs(a.T @ a - np.eye(3)).max())
     if ortho > ROTATION_TOL:
         raise DomainError(f"matrix is not orthogonal: max |R^T R - I| = {ortho:.3e}")
     det = float(np.linalg.det(a))
@@ -82,38 +91,29 @@ def rotate_tensor(t: Any, r1: Any, r2: Any) -> np.ndarray:
     return validate_rotation(r1) @ as_tensor(t) @ validate_rotation(r2).T
 
 
-def _gram_top(t: np.ndarray) -> Any:
-    """Root of the top eigenvalue of ``T^T T`` for each tensor of a ``(..., 3, 3)`` stack."""
-    return np.sqrt(np.linalg.eigvalsh(t.swapaxes(-1, -2) @ t)[..., -1])
-
-
 def _top_singular(t: np.ndarray, sq: Any) -> Any:
     """Largest singular value of each tensor of a ``(..., 3, 3)`` stack.
 
-    ``sq`` holds the squared-entry sums of ``t`` as computed in floating
-    point (0 or inf where they under- or overflow). The value is the root of
-    the top eigenvalue of ``T^T T``. A nonzero tensor whose ``sq`` lies
-    outside ``[_SQ_MIN, _SQ_MAX]`` is first scaled by the power of two that
-    brings its largest entry into [1/2, 1), and its value scaled back, so
-    neither the Gram matrix nor its eigenvalues leave the float range. Every
-    tensor is judged on its own, so a stacked entry has the bits of the entry
-    alone.
+    ``sq`` holds the squared-entry sums of ``t``. The value is the root of the
+    top eigenvalue of ``T^T T``. A nonzero tensor whose ``sq`` is below
+    ``_SQ_MIN`` is first scaled by the power of two that brings its largest
+    entry into [1/2, 1), and its value scaled back. Every tensor is judged on
+    its own, so a stacked entry has the bits of the entry alone.
     """
+    e = None
     if sq.ndim == 0:  # one tensor: compare the scalar, no array reductions
-        if _SQ_MIN <= sq <= _SQ_MAX:
-            return _gram_top(t)
-        return _top_singular(t[None], np.reshape(sq, 1))[0]
-    if sq.min() >= _SQ_MIN and sq.max() <= _SQ_MAX:
-        return _gram_top(t)
-    bad = (sq < _SQ_MIN) | (sq > _SQ_MAX)
-    sub = t[bad]
-    if not sub.any():  # only zero tensors, whose T^T T = 0 is exact as it is
-        return _gram_top(t)
-    e = np.frexp(np.abs(sub).max(axis=(-2, -1)))[1]
-    t = t.copy()
-    t[bad] = np.ldexp(sub, -e[:, None, None])
-    top = _gram_top(t)
-    top[bad] = np.ldexp(top[bad], e)
+        if sq < _SQ_MIN:
+            return _top_singular(t[None], np.reshape(sq, 1))[0]
+    elif sq.min() < _SQ_MIN:
+        bad = sq < _SQ_MIN
+        sub = t[bad]
+        if sub.any():  # zero tensors stay as they are: their T^T T = 0 is exact
+            e = np.frexp(np.abs(sub).max(axis=(-2, -1)))[1]
+            t = t.copy()
+            t[bad] = np.ldexp(sub, -e[:, None, None])
+    top = np.sqrt(np.linalg.eigvalsh(t.swapaxes(-1, -2) @ t)[..., -1])
+    if e is not None:
+        top[bad] = np.ldexp(top[bad], e)
     return top
 
 
@@ -125,9 +125,7 @@ def tensor_max_svd(t: Any) -> float:
     component can be absorbed by flipping one direction).
     """
     a = as_tensor(t)
-    with np.errstate(over="ignore"):  # an overflowing sum only sends T to rescaling
-        sq = (a * a).sum()
-    return float(_top_singular(a, sq))
+    return float(_top_singular(a, (a * a).sum()))
 
 
 def rotation_from_unitary(u: Any) -> np.ndarray:

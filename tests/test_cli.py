@@ -732,3 +732,18 @@ class TestEntrypoint:
     def test_module_bad_state_exits_2(self):
         proc = self.module_run("tensor", "--state", "bogus")
         assert_one_line_error(proc.returncode, proc.stdout, proc.stderr)
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ({k: 1.7e308 for k in range(16)}, "error: matrix trace inf+0j differs from 1\n"),
+            ({1: 1.7e308, 4: -1.7e308}, "error: matrix is not Hermitian: max |M - M^dag| = inf\n"),
+        ],
+        ids=["trace", "hermitian"],
+    )
+    def test_huge_finite_entries_exit_2_with_one_line(self, tmp_path, entries, message):
+        # numpy's overflow warnings used to print two lines before the error
+        rows = [[entries.get(k, 0.0), 0.0] for k in range(16)]
+        proc = self.module_run("tensor", "--state", write_state(tmp_path / "h.json", rows))
+        assert_one_line_error(proc.returncode, proc.stdout, proc.stderr)
+        assert proc.stderr == message

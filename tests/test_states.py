@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,27 @@ class TestValidation:
         m[0, 0] = bad
         with pytest.raises(DomainError, match="non-finite"):
             validate_density_matrix(m)
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ({k: 1.7e308 for k in range(16)}, r"matrix trace inf\+0j differs from 1"),
+            ({1: 1.7e308, 4: -1.7e308}, r"not Hermitian: max \|M - M\^dag\| = inf"),
+            ({1: 1.7e308 + 1.7e308j, 4: -1.7e308 + 1.7e308j}, r"not Hermitian: .* = inf"),
+        ],
+        ids=["trace", "hermitian", "hermitian-complex"],
+    )
+    def test_huge_finite_entries_fail_without_a_warning(self, entries, message):
+        # numpy's overflow warning used to come first, and escaped in place of the error
+        m = np.zeros(16, dtype=complex)
+        for k, z in entries.items():
+            m[k] = z
+        payload = {"rows": 4, "cols": 4, "entries": [[z.real, z.imag] for z in m]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rho in (m.reshape(4, 4), matrix_from_json(payload)):
+                with pytest.raises(DomainError, match=message):
+                    validate_density_matrix(rho)
 
     def test_rejects_negative_eigenvalue(self):
         m = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)

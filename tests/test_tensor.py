@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from conftest import random_density_matrix, random_tensor, random_unit_vector
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from reference import (
     correlation_value,
     evaluate_via_tensor,
@@ -17,11 +20,14 @@ from reference import (
 
 from bellri import (
     DomainError,
+    chsh_complete_set,
     compute_tensor,
     evaluate_ri_criterion,
+    inner_product_ee,
     make_singlet,
     make_werner,
     maximally_mixed,
+    ri_bound_check,
     rotate_tensor,
     rotation_from_unitary,
     tensor_from_json,
@@ -29,7 +35,7 @@ from bellri import (
     tensor_to_json,
 )
 from bellri.criteria import _criterion
-from bellri.tensor import _pauli_expectations, _top_singular
+from bellri.tensor import TENSOR_BOUND, _pauli_expectations, _top_singular
 
 SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -339,9 +345,8 @@ class TestTensorMax:
 
 
 def squared_sums(t):
-    """Squared-entry sums as the criterion computes them, overflowing to inf where they do."""
-    with np.errstate(over="ignore"):
-        return (t * t).sum(axis=(-2, -1))
+    """Squared-entry sums as the criterion computes them."""
+    return (t * t).sum(axis=(-2, -1))
 
 
 def svd_top(t):
@@ -350,8 +355,8 @@ def svd_top(t):
 
 
 def mixed_stack(rng):
-    """160 tensors, interleaving zero, subnormal, tiny, ordinary and huge entries."""
-    scales = [0.0, 1e-310, 1e-200, 1e-150, 1.0, 1e150, 1e200, 1e300] * 20
+    """160 tensors, interleaving zero, subnormal, tiny, ordinary and large in-domain entries."""
+    scales = [0.0, 1e-310, 1e-200, 1e-150, 1.0, 1e50, 2.0**200, 2.0**236] * 20
     return rng.standard_normal((len(scales), 3, 3)) * np.array(scales)[:, None, None]
 
 
@@ -363,6 +368,10 @@ class TestTopSingular:
         rng = np.random.default_rng(1000 + exponent)
         for _ in range(50):
             t = rng.standard_normal((3, 3)) * 10.0**exponent
+            if exponent > 72:  # above the tensor bound, 2^240 ~ 1.8e72
+                with pytest.raises(DomainError, match=r"2\^240"):
+                    tensor_max_svd(t)
+                continue
             ref = float(svd_top(t))
             assert abs(tensor_max_svd(t) - ref) <= 1e-15 * ref
 
@@ -388,27 +397,110 @@ class TestTopSingular:
 
     def test_diagonal_tensors_give_their_largest_entry_exactly(self):
         # Werner, singlet/white and singlet/|00> tensors are diagonal, and the
-        # pinned outputs rest on this across the whole float range
+        # pinned outputs rest on this across the whole tensor domain
         rng = np.random.default_rng(33)
-        d = rng.uniform(-1.0, 1.0, (2000, 3)) * 10.0 ** rng.uniform(-320.0, 308.0, (2000, 1))
+        d = rng.uniform(-1.0, 1.0, (2000, 3)) * 10.0 ** rng.uniform(-320.0, 72.0, (2000, 1))
         ts = d[:, :, None] * np.eye(3)
         want = np.abs(d).max(axis=1)
         assert np.array_equal(_top_singular(ts, squared_sums(ts)), want)
         assert [tensor_max_svd(t) for t in ts[:200]] == want[:200].tolist()
 
-    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_power_of_two_scaling_is_exact(self):
+        # T_max(2^k T) = 2^k T_max(T) wherever the scaled entries stay normal;
+        # LAPACK's own rescaling of tiny Gram matrices broke this near k = -220
+        rng = np.random.default_rng(34)
+        for _ in range(10):
+            t = rng.uniform(-1.0, 1.0, (3, 3))
+            top = tensor_max_svd(t)
+            for k in range(-1000, 241):
+                s = np.ldexp(t, k)
+                if np.abs(s).min() >= np.finfo(float).tiny:
+                    assert tensor_max_svd(s) == np.ldexp(top, k), k
+
+    @pytest.mark.parametrize("scale", [1e-200])
     def test_identity_out_of_the_plain_range(self, scale):
-        # unscaled, 1e-200 * I had T_max = 0.0 and 1e200 * I an inf Gram matrix
+        # unscaled, 1e-200 * I had T_max = 0.0
         assert tensor_max_svd(scale * np.eye(3)) == scale
 
-    def test_criterion_on_a_huge_tensor_keeps_a_finite_right_side(self):
-        # sum T^2 overflows to inf, with numpy's warning; T_max does not
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            lhs, rhs, violated = _criterion(1e200 * np.eye(3))
-        assert (lhs, rhs, violated) == (np.inf, 2.25e200, True)
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            rep = evaluate_ri_criterion(1e200 * np.eye(3))
-        assert rep.violated and rep.rhs == 2.25e200
+
+def finite_floats(x):
+    """True when every float in a result (report, array, list, dict) is finite."""
+    if dataclasses.is_dataclass(x):
+        x = dataclasses.astuple(x)
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return all(finite_floats(y) for y in x)
+    return not isinstance(x, float) or math.isfinite(x)
+
+
+# the public functions that take a tensor, each as a function of the tensor alone
+TENSOR_FUNCTIONS = [
+    tensor_max_svd,
+    evaluate_ri_criterion,
+    ri_bound_check,
+    inner_product_ee,
+    lambda t: chsh_complete_set(t, (1, 2)),
+    lambda t: rotate_tensor(t, random_rotation(35), random_rotation(36)),
+    tensor_to_json,
+]
+FUNCTION_IDS = ["max_svd", "criterion", "bound", "ee", "chsh", "rotate", "json"]
+# zero, subnormal and normal entries up to 1e308, spread evenly over the exponents too
+ENTRY = st.one_of(
+    st.floats(-1e308, 1e308, allow_nan=False),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1023)),
+)
+
+
+class TestTensorDomain:
+    """Tensors with |T_ij| <= 2^240 give finite results; larger ones a DomainError."""
+
+    @pytest.mark.parametrize("f", TENSOR_FUNCTIONS, ids=FUNCTION_IDS)
+    def test_huge_tensor_is_a_domain_error(self, f):
+        with pytest.raises(DomainError, match=r"above 2\^240"):
+            f(1e200 * np.eye(3))
+
+    @pytest.mark.parametrize("f", TENSOR_FUNCTIONS, ids=FUNCTION_IDS)
+    def test_the_bound_itself_is_in_the_domain(self, f):
+        t = TENSOR_BOUND * np.ones((3, 3))
+        assert finite_floats(f(t))
+        t[1, 2] = np.nextafter(TENSOR_BOUND, np.inf)
+        with pytest.raises(DomainError, match=r"above 2\^240"):
+            f(t)
+
+    def test_all_ones_at_the_bound_give_exact_reports(self):
+        assert TENSOR_BOUND == 2.0**240
+        t = 2.0**240 * np.ones((3, 3))
+        assert tensor_max_svd(t) == 3 * 2.0**240
+        rep = evaluate_ri_criterion(t)
+        assert (rep.lhs, rep.rhs, rep.violated) == (9 * 2.0**480, 2.25 * 3 * 2.0**240, True)
+
+    def test_rotated_tensor_can_leave_the_domain(self):
+        # 2^240 * ones = 3 * 2^240 u u^T with u = (1, 1, 1)/sqrt(3); a frame that
+        # sends u to the first axis gives an entry of about 3 * 2^240
+        u = np.ones(3) / math.sqrt(3.0)
+        v = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
+        r = np.array([u, v, np.cross(u, v)])
+        rotated = rotate_tensor(TENSOR_BOUND * np.ones((3, 3)), r, r)
+        assert abs(rotated[0, 0] / (3 * TENSOR_BOUND) - 1.0) < 1e-15
+        with pytest.raises(DomainError, match=r"above 2\^240"):
+            evaluate_ri_criterion(rotated)
+
+    @pytest.mark.parametrize("f", TENSOR_FUNCTIONS, ids=FUNCTION_IDS)
+    @settings(max_examples=150, deadline=None)
+    @given(entries=st.lists(ENTRY, min_size=9, max_size=9))
+    @example(entries=[1e200, 0.0, 0.0, 0.0, 1e200, 0.0, 0.0, 0.0, 1e200])
+    @example(entries=[1e308] * 9)
+    @example(entries=[5e-324] * 9)
+    def test_finite_answer_or_domain_error(self, f, entries):
+        # no warning either: the suite turns every warning into an error
+        t = np.array(entries).reshape(3, 3)
+        try:
+            result = f(t)
+        except DomainError:
+            assert np.abs(t).max() > TENSOR_BOUND
+        else:
+            assert np.abs(t).max() <= TENSOR_BOUND and finite_floats(result)
 
 
 class TestRotations:
