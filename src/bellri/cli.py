@@ -122,12 +122,9 @@ def parse_state(spec: str):
 
 
 def _csv(header: str, rows: list[list]) -> str:
-    # cells must be Python scalars: numpy 2 reprs a float64 as np.float64(...)
     def cell(x) -> str:
         if isinstance(x, bool):
             return "true" if x else "false"
-        if isinstance(x, float):
-            return repr(x)
         return str(x)
 
     lines = [header] + [",".join(cell(x) for x in row) for row in rows]
@@ -170,8 +167,7 @@ def cmd_threshold(args: argparse.Namespace, cfg: RunConfig) -> Output:
 
 
 def cmd_chsh(args: argparse.Namespace, cfg: RunConfig) -> Output:
-    plane = (int(args.plane[0]), int(args.plane[1]))
-    report = criteria.chsh_complete_set(tensor.compute_tensor(parse_state(args.state)), plane)
+    report = criteria.chsh_complete_set(tensor.compute_tensor(parse_state(args.state)), args.plane)
     return Output(
         lambda: asdict(report),
         "plane,value_1,value_2,value_3,value_4,bound,max_value,satisfied",

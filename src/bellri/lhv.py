@@ -27,13 +27,7 @@ import numpy as np
 
 from .criteria import _criterion
 from .errors import DomainError
-from .states import (
-    _whole,
-    make_singlet,
-    maximally_mixed,
-    require_visibility,
-    validate_density_matrix,
-)
+from .states import _whole, make_singlet, maximally_mixed, require_visibility
 from .tensor import _pauli_expectations, validate_rotation
 
 CONSISTENT = "consistent-at-this-visibility"
@@ -51,16 +45,19 @@ _CHUNK = 1024
 
 @dataclass(frozen=True, eq=False)
 class LhvTwoSettingModel:
-    """Two-setting model at visibility ``v`` with axes in rotated local frames."""
+    """Two-setting model at visibility ``v``, its axes in frames rotated by ``r1``, ``r2``.
+
+    Frames default to the identity. The model's correlations at its own axes
+    are ``-v`` on matched and ``0`` on mismatched axes regardless of frames.
+    """
 
     v: float
-    r1: np.ndarray
-    r2: np.ndarray
+    r1: Any = None
+    r2: Any = None
 
     def __post_init__(self) -> None:
-        # every model is checked, whether build_model or a caller constructs it,
-        # and keeps read-only copies of its frames, which the caller's arrays
-        # cannot change afterwards
+        # every model is checked and keeps read-only copies of its frames,
+        # which the caller's arrays cannot change afterwards
         object.__setattr__(self, "v", require_visibility(self.v))
         for name, r in (("r1", self.r1), ("r2", self.r2)):
             frame = np.eye(3) if r is None else np.array(validate_rotation(r))
@@ -71,6 +68,9 @@ class LhvTwoSettingModel:
     def flip_probability(self) -> float:
         """Probability that the second outcome opposes the first on a matched axis."""
         return (1.0 + self.v) / 2.0
+
+
+build_model = LhvTwoSettingModel
 
 
 @dataclass(frozen=True)
@@ -90,17 +90,6 @@ class ConsistencyVerdict:
     criterion_margin: float
     consistent: bool
     explanation_code: str
-
-
-def build_model(
-    v: float, r1: Any = None, r2: Any = None
-) -> LhvTwoSettingModel:
-    """Model at visibility ``v`` whose axes live in frames rotated by ``r1``, ``r2``.
-
-    Frames default to the identity. The model's correlations at its own axes
-    are ``-v`` on matched and ``0`` on mismatched axes regardless of frames.
-    """
-    return LhvTwoSettingModel(v=v, r1=r1, r2=r2)
 
 
 def _axis_streams(seed: int) -> list[np.random.Generator]:
@@ -193,10 +182,6 @@ def mc_report(model: LhvTwoSettingModel, i: int, j: int, est: McEstimate) -> dic
     i = _whole(i, "axis index i", 1, 3)
     j = _whole(j, "axis index j", 1, 3)
     target = -model.v if i == j else 0.0
-    if est.std_error > 0.0:
-        ok = abs(est.mean - target) <= 5.0 * est.std_error
-    else:
-        ok = est.mean == target
     return {
         "v": model.v,
         "i": i,
@@ -205,7 +190,7 @@ def mc_report(model: LhvTwoSettingModel, i: int, j: int, est: McEstimate) -> dic
         "mean": est.mean,
         "std_error": est.std_error,
         "target": target,
-        "pass": ok,
+        "pass": abs(est.mean - target) <= 5.0 * est.std_error,
     }
 
 
@@ -223,17 +208,16 @@ def sweep_margins(v_min: float, v_max: float, steps: int) -> tuple[list, list, l
         raise DomainError(f"need v_min <= v_max, got [{v_min}, {v_max}]")
     steps = _whole(steps, "step count steps", 1, MAX_STEPS)
     grid = np.linspace(v_min, v_max, steps)
-    singlet = validate_density_matrix(make_singlet())
-    white = validate_density_matrix(maximally_mixed())
+    singlet, white = make_singlet(), maximally_mixed()
     margins: list = []
     violated: list = []
     for lo in range(0, steps, _CHUNK):
-        # a mixture of two valid states is valid, so no point is revalidated.
-        # The states are mixed with make_werner's elementwise arithmetic, which
-        # keeps every margin bit-identical to the one-point path (mixing the
-        # endpoint tensors instead moves T_zz by an ulp at some visibilities),
-        # and a stacked entry has the bits of the entry alone, so the chunks
-        # change no bit either
+        # the singlet, I/4 and every mixture of them are valid by construction,
+        # so no state is validated. The states are mixed with make_werner's
+        # elementwise arithmetic, which keeps every margin bit-identical to the
+        # one-point path (mixing the endpoint tensors instead moves T_zz by an
+        # ulp at some visibilities), and a stacked entry has the bits of the
+        # entry alone, so the chunks change no bit either
         v = grid[lo : lo + _CHUNK, None, None]
         lhs, rhs, bad = _criterion(_pauli_expectations(v * singlet + (1.0 - v) * white))
         margins += (lhs - rhs).tolist()

@@ -143,13 +143,15 @@ def rotation_from_unitary(u: Any) -> np.ndarray:
 
 def tensor_to_json(t: Any) -> dict:
     """Encode a tensor as ``{"t": [[...], [...], [...]]}``."""
-    return {"t": [[float(x) for x in row] for row in as_tensor(t)]}
+    return {"t": as_tensor(t).tolist()}
 
 
 def tensor_from_json(payload: Any) -> np.ndarray:
     """Inverse of :func:`tensor_to_json`."""
     try:
         rows = payload["t"]
-    except (TypeError, KeyError) as exc:
+    except KeyError as exc:
         raise DomainError(f"tensor payload is missing field {exc}") from exc
+    except TypeError as exc:
+        raise DomainError(f"malformed tensor payload: {exc}") from exc
     return as_tensor(rows)

@@ -179,6 +179,14 @@ class TestTensorCommand:
         code, _, err = run(capsys, "tensor", "--state", "ghz")
         assert code == 2
 
+    def test_unknown_spec_error_lists_the_spec_forms(self, capsys):
+        assert run(capsys, "tensor", "--state", "bogus") == (
+            2,
+            "",
+            "error: unrecognized state spec 'bogus'; use werner:<v>, singlet, white, or"
+            " file:<path>\n",
+        )
+
     def test_output_to_file(self, tmp_path, capsys):
         dest = tmp_path / "t.json"
         code, out, _ = run(capsys, "tensor", "--state", "werner:0.5", "--output", str(dest))
@@ -412,6 +420,16 @@ class TestConfigAndDeterminism:
             capsys, "tensor", "--state", "werner:0.5", "--config", str(cfg), "--format", "json"
         )
         json.loads(out)
+
+    def test_config_lines_are_stripped(self, tmp_path, capsys):
+        # an indented comment, a blank line of spaces, and keys and values padded
+        # with whitespace, which a value like " csv" would not survive unstripped
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("  # padded\n   \n  seed = 3  \n\tformat = csv \n")
+        argv = ["lhv", "--v", "0.5", "--i", "1", "--j", "2", "--n", "2000"]
+        from_cfg = run(capsys, *argv, "--config", str(cfg))
+        assert from_cfg == run(capsys, *argv, "--seed", "3", "--format", "csv")
+        assert from_cfg[0] == 0 and from_cfg[1] != run(capsys, *argv, "--format", "csv")[1]
 
     def test_config_seed_used_by_lhv(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -19,6 +19,7 @@ import bellri
 from bellri import (
     DomainError,
     LhvTwoSettingModel,
+    McEstimate,
     build_model,
     chsh_complete_set,
     compute_tensor,
@@ -348,6 +349,11 @@ class TestMcReport:
         payload = mc_report(model, 3, 3, est)
         assert payload["std_error"] == 0.0 and payload["pass"] is True
 
+    @pytest.mark.parametrize("sigmas", [-10.0, 10.0], ids=["below", "above"])
+    def test_mean_ten_sigma_off_target_fails(self, sigmas):
+        est = McEstimate(mean=-0.5 + sigmas * 0.01, std_error=0.01, n_samples=1000)
+        assert mc_report(build_model(0.5), 2, 2, est)["pass"] is False
+
 
 class TestModelCorrelation:
     @pytest.mark.parametrize("seed", range(5))
@@ -482,7 +488,8 @@ class TestVerdictSweep:
             tracemalloc.stop()
         assert peak <= 100 * steps + (1 << 20)
 
-    def test_validates_each_endpoint_once(self, monkeypatch):
+    def test_validates_neither_endpoint(self, monkeypatch):
+        # the sweep builds the singlet and I/4 itself, so it has nothing to validate
         calls = {"n": 0}
         original = bellri.states.validate_density_matrix
 
@@ -490,10 +497,10 @@ class TestVerdictSweep:
             calls["n"] += 1
             return original(rho)
 
-        for module in (bellri, bellri.states, bellri.tensor, bellri.lhv):
+        for module in (bellri, bellri.states, bellri.tensor):
             monkeypatch.setattr(module, "validate_density_matrix", counting)
         assert len(verdict_sweep(0.0, 1.0, 10001)) == 10001
-        assert calls["n"] == 2
+        assert calls["n"] == 0
 
     def test_all_consistent_below_half(self):
         assert all(v.consistent for v in verdict_sweep(0.0, 0.5, 26))

@@ -229,6 +229,10 @@ class TestJsonCodec:
         with pytest.raises(DomainError):
             matrix_from_json({"rows": 2, "cols": 2})
 
+    def test_rejects_entries_that_are_not_a_list(self):
+        with pytest.raises(DomainError, match="malformed matrix payload"):
+            matrix_from_json({"rows": 2, "cols": 2, "entries": 5})
+
     def test_white_noise_round_trip(self):
         w = maximally_mixed()
         assert np.array_equal(matrix_from_json(matrix_to_json(w)), w)
@@ -292,6 +296,7 @@ class TestConverters:
 # public call taking the bad value there, and one finite value out of its range
 SCALAR_ARGUMENTS = [
     pytest.param("visibility", make_werner, 1.5, id="visibility"),
+    pytest.param("visibility", lambda x: verdict_sweep(x, 1.0, 3), -0.5, id="v_min"),
     pytest.param("visibility", lambda x: verdict_sweep(0.0, x, 3), -0.5, id="v_max"),
     pytest.param(
         "axis index i", lambda x: estimate_correlation(build_model(0.5), x, 1, 1000, 0), 4, id="i"
@@ -328,8 +333,8 @@ SCALAR_ARGUMENTS = [
 
 class TestScalarRanges:
     @pytest.mark.parametrize("name, call, out_of_range", SCALAR_ARGUMENTS)
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "out-of-range"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "out-of-range", "x"])
     def test_bad_value_is_a_domain_error_naming_the_argument(self, name, call, out_of_range, bad):
-        x = out_of_range if bad == "out-of-range" else float(bad)
+        x = out_of_range if bad == "out-of-range" else bad if bad == "x" else float(bad)
         with pytest.raises(DomainError, match=re.escape(name) + " must be"):
             call(x)

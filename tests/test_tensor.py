@@ -35,7 +35,7 @@ from bellri import (
     tensor_to_json,
 )
 from bellri.criteria import _criterion
-from bellri.tensor import TENSOR_BOUND, _pauli_expectations, _top_singular
+from bellri.tensor import TENSOR_BOUND, _pauli_expectations, _top_singular, validate_rotation
 
 SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -191,12 +191,13 @@ class TestComputeTensor:
         with pytest.raises(DomainError, match="imaginary residue"):
             _pauli_expectations(stack)
 
-    def test_rejects_imaginary_residue(self):
+    @pytest.mark.parametrize("residue", [0.49e-12j, -0.49e-12j], ids=["positive", "negative"])
+    def test_rejects_imaginary_residue(self, residue):
         # within the 1e-12 hermiticity tolerance, but Tr(rho sigma_x (x) sigma_y)
-        # picks up an imaginary part of about 2e-12
+        # picks up an imaginary part of about 2e-12, of either sign
         rho = make_werner(0.5)
         for i, j in ((0, 3), (3, 0), (1, 2), (2, 1)):
-            rho[i, j] += 0.49e-12j
+            rho[i, j] += residue
         with pytest.raises(DomainError, match="imaginary residue"):
             compute_tensor(rho)
 
@@ -259,6 +260,9 @@ class TestRotateTensor:
     def test_rejects_non_rotation(self):
         with pytest.raises(DomainError, match="orthogonal"):
             rotate_tensor(np.eye(3), np.eye(3) * 2.0, np.eye(3))
+        # R^T R - I is negative on the diagonal here
+        with pytest.raises(DomainError, match="not orthogonal"):
+            validate_rotation(0.999 * np.eye(3))
         with pytest.raises(DomainError, match="proper"):
             rotate_tensor(np.eye(3), np.diag([1.0, 1.0, -1.0]), np.eye(3))
 
@@ -542,6 +546,19 @@ class TestSerialization:
         rows[2][0] = bad
         with pytest.raises(DomainError, match="non-finite"):
             tensor_from_json({"t": rows})
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({}, "tensor payload is missing field 't'$"),
+            (None, "malformed tensor payload: 'NoneType' object is not subscriptable$"),
+            ([], "malformed tensor payload: list indices must be integers"),
+        ],
+        ids=["empty", "none", "list"],
+    )
+    def test_json_rejects_payload_without_t(self, payload, message):
+        with pytest.raises(DomainError, match=f"^{message}"):
+            tensor_from_json(payload)
 
     def test_json_rejects_all_nan_tensor(self):
         with pytest.raises(DomainError, match="non-finite"):
