@@ -40,8 +40,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.format not in ("json", "csv"):
             raise DomainError(f"format must be 'json' or 'csv', got {self.format!r}")
-        states._whole(self.seed, "seed", 0)
-        states._tolerance(self.tol, "tol")
+        # a flag and a config line reach these converters as the same string
+        object.__setattr__(self, "seed", states._whole(self.seed, "seed", 0))
+        object.__setattr__(self, "tol", states._tolerance(self.tol, "tol"))
 
 
 class Output(NamedTuple):
@@ -70,7 +71,7 @@ def _read_text(path: str, what: str) -> str:
 
 def load_config(path: str) -> RunConfig:
     """Parse a ``key=value`` config file (``#`` comments, blank lines ignored)."""
-    parsers = {f.name: type(f.default) for f in fields(RunConfig)}
+    keys = {f.name for f in fields(RunConfig)}
     cfg = RunConfig()
     for lineno, raw in enumerate(_read_text(path, "config").splitlines(), start=1):
         line = raw.strip()
@@ -80,14 +81,12 @@ def load_config(path: str) -> RunConfig:
             raise DomainError(f"{path!r}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in parsers:
+        if key not in keys:
             raise DomainError(f"{path!r}:{lineno}: unknown config key {key!r}")
-        # each line is applied and checked on its own, so a value that parses
-        # but is out of range is reported at its line too (DomainError is a
-        # ValueError)
+        # each line is applied and checked on its own, so a bad value names its line
         try:
-            cfg = replace(cfg, **{key: parsers[key](value.strip())})
-        except ValueError as exc:
+            cfg = replace(cfg, **{key: value.strip()})
+        except DomainError as exc:
             raise DomainError(f"{path!r}:{lineno}: bad value for {key}: {exc}") from exc
     return cfg
 
@@ -171,7 +170,8 @@ def cmd_chsh(args: argparse.Namespace, cfg: RunConfig) -> Output:
     return Output(
         lambda: asdict(report),
         "plane,value_1,value_2,value_3,value_4,bound,max_value,satisfied",
-        lambda: [[args.plane, *report.values, report.bound, report.max_value, report.satisfied]],
+        lambda: [["%d%d" % report.plane, *report.values, report.bound, report.max_value,
+                  report.satisfied]],
     )
 
 
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help=f"config file (default: ${CONFIG_ENV_VAR})")
-    common.add_argument("--format", choices=["json", "csv"], help="output format")
+    common.add_argument("--format", help="output format: json or csv")
     common.add_argument("--output", help="output path, or - for stdout")
 
     parser = argparse.ArgumentParser(
@@ -250,30 +250,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--pure", required=True, help="state spec for the pure component")
     p.add_argument("--noise", required=True, help="state spec for the noise component")
-    p.add_argument("--tol", type=float, help="bisection tolerance (default 1e-9)")
+    p.add_argument("--tol", help="bisection tolerance (default 1e-9)")
     p.set_defaults(handler=cmd_threshold)
 
     p = sub.add_parser("chsh", parents=[common], help="complete two-setting set in one plane")
     p.add_argument("--state", required=True, help=STATE_SPEC_HELP)
-    p.add_argument("--plane", required=True, choices=["12", "23", "13"], help="axes pair")
+    p.add_argument("--plane", required=True, help="axes pair: 12, 23 or 13")
     p.set_defaults(handler=cmd_chsh)
 
     p = sub.add_parser(
         "lhv", parents=[common], help="Monte Carlo correlation estimate of the model"
     )
-    p.add_argument("--v", type=float, required=True, help="visibility in [0, 1]")
-    p.add_argument("--i", type=int, required=True, help="first observer axis (1..3)")
-    p.add_argument("--j", type=int, required=True, help="second observer axis (1..3)")
-    p.add_argument("--n", type=int, required=True, help="number of samples (>= 1000)")
-    p.add_argument("--seed", type=int, help="RNG seed (default from config)")
+    p.add_argument("--v", required=True, help="visibility in [0, 1]")
+    p.add_argument("--i", required=True, help="first observer axis (1..3)")
+    p.add_argument("--j", required=True, help="second observer axis (1..3)")
+    p.add_argument("--n", required=True, help="number of samples (>= 1000)")
+    p.add_argument("--seed", help="RNG seed (default from config)")
     p.set_defaults(handler=cmd_lhv)
 
     p = sub.add_parser(
         "sweep", parents=[common], help="consistency verdicts over a visibility range"
     )
-    p.add_argument("--v-min", type=float, default=0.0, help="lowest visibility")
-    p.add_argument("--v-max", type=float, default=1.0, help="highest visibility")
-    p.add_argument("--steps", type=int, default=101, help="number of sweep points")
+    p.add_argument("--v-min", default=0.0, help="lowest visibility")
+    p.add_argument("--v-max", default=1.0, help="highest visibility")
+    p.add_argument("--steps", default=101, help="number of sweep points")
     p.set_defaults(handler=cmd_sweep)
 
     return parser
@@ -302,7 +302,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             try:
                 Path(cfg.output).write_text(text, encoding="utf-8")
-            except ValueError as exc:  # a NUL in the path
+            except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
                 raise DomainError(f"cannot write output file {cfg.output!r}: {exc}") from exc
         return code
     except (DomainError, OSError) as exc:

@@ -123,7 +123,7 @@ def chsh_complete_set(t: Any, plane: tuple[int, int]) -> ChshReport:
     except TypeError as exc:
         raise DomainError(f"plane must be a pair of axes, got {plane!r}") from exc
     if key not in _CHSH_PLANES:
-        raise DomainError(f"plane must be one of {_CHSH_PLANES}, got {key}")
+        raise DomainError(f"plane must be one of {_CHSH_PLANES}, got {plane!r}")
     i, j = key[0] - 1, key[1] - 1
     entries = (float(a[i, i]), float(a[i, j]), float(a[j, i]), float(a[j, j]))
     values = tuple(

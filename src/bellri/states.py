@@ -52,10 +52,11 @@ def _whole(x: Any, name: str, lo: Any = None, hi: Any = None) -> int:
     """``x`` as an int in ``[lo, hi]``; :class:`DomainError` unless it is a finite whole number there."""
     if not isinstance(x, numbers.Integral):
         try:
-            f = float(x)
+            # a string of digits converts exactly, where a float rounds above 2^53
+            f = int(x) if isinstance(x, str) and x.strip().lstrip("+-").isdecimal() else float(x)
         except (TypeError, ValueError) as exc:
             raise DomainError(f"{name} must be a whole number, got {x!r}") from exc
-        if not f.is_integer():  # False for NaN and inf as well
+        if isinstance(f, float) and not f.is_integer():  # False for NaN and inf as well
             raise DomainError(f"{name} must be a finite whole number, got {x!r}")
         x = f
     return _in_range(int(x), name, lo, hi)

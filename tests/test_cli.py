@@ -266,8 +266,19 @@ class TestChshCommand:
         assert abs(values[2]) <= 1e-12 and abs(values[3]) <= 1e-12
 
     def test_rejects_unknown_plane(self, capsys):
-        code, _, _ = run(capsys, "chsh", "--state", "werner:1", "--plane", "21")
-        assert code == 2
+        code, out, err = run(capsys, "chsh", "--state", "werner:1", "--plane", "21")
+        assert_one_line_error(code, out, err)
+        assert err == "error: plane must be one of ((1, 2), (2, 3), (1, 3)), got '21'\n"
+
+    def test_csv_plane_cell_is_the_plane_read(self, capsys):
+        # Arabic-Indic digits read as the plane (1, 2), and the cell says so
+        code, out, _ = run(capsys, "chsh", "--state", "werner:1", "--plane", "\u0661\u0662",
+                           "--format", "csv")
+        assert code == 0 and out.splitlines()[1].startswith("12,")
+
+    def test_help_names_the_planes(self, capsys):
+        code, out, _ = run(capsys, "chsh", "--help")
+        assert code == 0 and "axes pair: 12, 23 or 13" in out
 
 
 class TestLhvCommand:
@@ -318,6 +329,7 @@ class TestLhvCommand:
         edge=st.dictionaries(st.sampled_from(["v", "i", "j", "n", "seed"]), EDGE_TEXT),
     )
     @example(valid={"v": "0.5", "i": "1", "j": "1", "n": "1000", "seed": "0"}, edge={"n": BIG})
+    @example(valid={"v": "0.5", "i": "1", "j": "1", "n": "1000", "seed": "0"}, edge={"n": "1e3"})
     def test_edge_text_exits_cleanly(self, valid, edge):
         flags = {**valid, **edge}
         argv = ["lhv", *(f"--{k}={x}" for k, x in flags.items())]
@@ -329,7 +341,8 @@ class TestLhvCommand:
         if code == 2:
             assert out.getvalue() == ""
         else:
-            assert json.loads(out.getvalue())["n"] == int(flags["n"])
+            # the library converts the flag, so "1e3" is 1000 samples
+            assert json.loads(out.getvalue())["n"] == float(flags["n"])
 
 
 class TestSweepCommand:
@@ -485,8 +498,28 @@ class TestConfigAndDeterminism:
     def test_rejects_bad_config_value(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("format=yaml\n")
-        code, _, err = run(capsys, "tensor", "--state", "werner:0.5", "--config", str(cfg))
-        assert code == 2
+        code, out, err = run(capsys, "tensor", "--state", "werner:0.5", "--config", str(cfg))
+        assert_one_line_error(code, out, err)
+        assert err.endswith(
+            ":1: bad value for format: format must be 'json' or 'csv', got 'yaml'\n"
+        )
+
+    def test_seed_flag_and_config_line_convert_alike(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=1e3\n")
+        argv = ["lhv", "--v", "0.5", "--i", "1", "--j", "2", "--n", "2000"]
+        from_cfg = run(capsys, *argv, "--config", str(cfg))
+        assert from_cfg[0] == 0 and from_cfg[1] != run(capsys, *argv)[1]
+        assert run(capsys, *argv, "--seed", "1e3") == from_cfg
+        assert run(capsys, *argv, "--seed", "1000") == from_cfg
+
+    @pytest.mark.parametrize("tol", ["1e-9", "1e-3"])
+    def test_tol_flag_and_config_line_convert_alike(self, tmp_path, capsys, tol):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"tol={tol}\n")
+        argv = ["threshold", "--pure", "singlet", "--noise", "white"]
+        from_cfg = run(capsys, *argv, "--config", str(cfg))
+        assert from_cfg[0] == 0 and from_cfg == run(capsys, *argv, "--tol", tol)
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 2
@@ -504,6 +537,10 @@ FILE_BOUNDARY = {
                        "cannot parse state file"),
     "nul-in-output-path": (b"output=a\0b\n", ["--state", "singlet", "--config", "{}"],
                            "cannot write output file"),
+    "output-in-missing-dir": (b"", ["--state", "singlet", "--output", "{}.d/x"],
+                              "cannot write output file"),
+    "output-is-a-dir": (b"output=.\n", ["--state", "singlet", "--config", "{}"],
+                        "cannot write output file"),
 }
 
 
@@ -620,6 +657,32 @@ class TestSweepRendering:
             tracemalloc.stop()
         assert code == 0 and capsys.readouterr().out.endswith("\n]\n")
         assert peak <= 500 * steps
+
+
+LHV = ["lhv", "--v", "0.5", "--i", "1", "--j", "1", "--n", "1000"]
+# a malformed value of each flag argparse passes on as text, the command line
+# that carries it (a repeated flag takes its last value), and how the one-line
+# error names the value
+MALFORMED_FLAGS = {
+    "tol": (["threshold", "--pure", "singlet", "--noise", "white", "--tol", "abc"], "'abc'"),
+    "format": (["tensor", "--state", "singlet", "--format", "xml"], "'xml'"),
+    "plane-21": (["chsh", "--state", "singlet", "--plane", "21"], "'21'"),
+    "plane-x": (["chsh", "--state", "singlet", "--plane", "x"], "'x'"),
+    "i": (LHV + ["--i", "x"], "'x'"),
+    "n": (LHV + ["--n", "1.5"], "'1.5'"),
+    "seed": (LHV + ["--seed", "-1"], "got -1"),
+    "steps": (["sweep", "--steps", "abc"], "'abc'"),
+    "v-min": (["sweep", "--v-min", "x"], "'x'"),
+    "v": (LHV + ["--v", "nan"], "got nan"),
+}
+
+
+class TestMalformedFlagValue:
+    @pytest.mark.parametrize("argv, named", MALFORMED_FLAGS.values(), ids=MALFORMED_FLAGS)
+    def test_one_line_error_naming_the_value(self, capsys, argv, named):
+        code, out, err = run(capsys, *argv)
+        assert_one_line_error(code, out, err)
+        assert named in err and "usage:" not in err
 
 
 class TestConfigSchema:

@@ -23,7 +23,7 @@ from bellri import (
     verdict_sweep,
 )
 from bellri.cli import RunConfig
-from bellri.states import require_unitary
+from bellri.states import _whole, require_unitary
 from bellri.tensor import as_tensor, validate_rotation
 
 
@@ -338,3 +338,32 @@ class TestScalarRanges:
         x = out_of_range if bad == "out-of-range" else bad if bad == "x" else float(bad)
         with pytest.raises(DomainError, match=re.escape(name) + " must be"):
             call(x)
+
+
+class TestWholeText:
+    @pytest.mark.parametrize("text, value", [("3.0", 3), ("1e3", 1000), (" 7 ", 7)])
+    def test_numeric_text_converts(self, text, value):
+        assert _whole(text, "seed", 0) == value
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1.5", "seed must be a finite whole number, got '1.5'"),
+            ("nan", "seed must be a finite whole number, got 'nan'"),
+            ("x", "seed must be a whole number, got 'x'"),
+        ],
+    )
+    def test_other_text_keeps_its_message(self, text, message):
+        with pytest.raises(DomainError, match="^" + re.escape(message) + "$"):
+            _whole(text, "seed", 0)
+
+    @pytest.mark.parametrize("sign", ["", "-", "+"])
+    def test_digits_above_2_to_the_53_convert_exactly(self, sign):
+        # a float holds 2^53 + 1 as 2^53
+        assert _whole(f" {sign}9007199254740993", "seed") == int(f"{sign}9007199254740993")
+
+    def test_seed_text_above_2_to_the_53_draws_its_own_seed(self):
+        model = build_model(0.5)
+        est = estimate_correlation(model, 1, 2, 1000, "9007199254740993")
+        assert est == estimate_correlation(model, 1, 2, 1000, 2**53 + 1)
+        assert est != estimate_correlation(model, 1, 2, 1000, 2**53)
