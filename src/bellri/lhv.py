@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .criteria import _criterion
 from .errors import DomainError
-from .states import _whole, make_singlet, maximally_mixed, require_visibility
+from .states import _real, _whole, make_singlet, maximally_mixed, require_visibility
 from .tensor import _pauli_expectations, validate_rotation
 
 CONSISTENT = "consistent-at-this-visibility"
@@ -82,9 +82,12 @@ class McEstimate:
     n_samples: int
 
 
-@dataclass(frozen=True)
-class ConsistencyVerdict:
-    """Whether the rotated two-setting copies can coexist at visibility ``v``."""
+class ConsistencyVerdict(NamedTuple):
+    """Whether the rotated two-setting copies can coexist at visibility ``v``.
+
+    A named tuple, built at about half the cost of a frozen dataclass:
+    immutable, compared field by field, and iterable.
+    """
 
     v: float
     criterion_margin: float
@@ -202,8 +205,8 @@ def sweep_margins(v_min: float, v_max: float, steps: int) -> tuple[list, list, l
     ``1..MAX_STEPS`` (10^6). The stacked states exist one chunk at a time, so
     only the grid and the three lists grow with ``steps``.
     """
-    v_min = require_visibility(v_min)
-    v_max = require_visibility(v_max)
+    v_min = _real(v_min, "visibility v_min", 0, 1)
+    v_max = _real(v_max, "visibility v_max", 0, 1)
     if v_max < v_min:
         raise DomainError(f"need v_min <= v_max, got [{v_min}, {v_max}]")
     steps = _whole(steps, "step count steps", 1, MAX_STEPS)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+import bellri.tensor
+
 
 def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
     """Random 4x4 density matrix via M M^dag normalized to unit trace."""
@@ -20,3 +22,20 @@ def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
 def random_tensor(rng: np.random.Generator) -> np.ndarray:
     """Random 3x3 tensor with entries uniform in [-1, 1]."""
     return rng.uniform(-1.0, 1.0, (3, 3))
+
+
+def count_eigvalsh(monkeypatch):
+    """Record the operand shape of every ``np.linalg.eigvalsh`` call on 3x3 Gram matrices.
+
+    The 4x4 calls that validate each density matrix are not recorded.
+    """
+    shapes = []
+    original = np.linalg.eigvalsh
+
+    def counting(m):
+        if m.shape[-2:] == (3, 3):
+            shapes.append(m.shape)
+        return original(m)
+
+    monkeypatch.setattr(bellri.tensor.np.linalg, "eigvalsh", counting)
+    return shapes

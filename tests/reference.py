@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
@@ -329,13 +329,13 @@ def piecewise_correlation(v: float, n1: Any, n2: Any) -> Optional[float]:
 def sweep_stdout(v_min: float, v_max: float, steps: int, fmt: str) -> str:
     """``bellri sweep`` output rendered from the verdict records.
 
-    JSON is ``json.dumps`` of the records' ``asdict`` form, CSV the CSV
+    JSON is ``json.dumps`` of the records' ``_asdict`` form, CSV the CSV
     writer over their fields: the renderer the CLI used before it wrote the
     sweep straight from the margin arrays.
     """
     verdicts = verdict_sweep(v_min, v_max, steps)
     if fmt == "json":
-        return json.dumps([asdict(v) for v in verdicts], indent=2, sort_keys=True) + "\n"
+        return json.dumps([v._asdict() for v in verdicts], indent=2, sort_keys=True) + "\n"
     return _csv(
         "v,margin,consistent", [[v.v, v.criterion_margin, v.consistent] for v in verdicts]
     )

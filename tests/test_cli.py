@@ -390,6 +390,19 @@ class TestSweepCommand:
         assert_one_line_error(code, out, err)
         assert err == f"error: step count steps must be at most {lhv.MAX_STEPS}, got {steps}\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--v-min", "2", "--v-max", "2"], "visibility v_min must be at most 1, got 2.0"),
+            (["--v-max", "-1"], "visibility v_max must be at least 0, got -1.0"),
+        ],
+        ids=["v_min", "v_max"],
+    )
+    def test_range_error_names_the_bad_end(self, capsys, argv, message):
+        code, out, err = run(capsys, "sweep", *argv)
+        assert_one_line_error(code, out, err)
+        assert err == f"error: {message}\n"
+
 
 class TestConfigAndDeterminism:
     def test_byte_identical_reruns(self, capsys):

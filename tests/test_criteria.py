@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_density_matrix, random_tensor
+from conftest import count_eigvalsh, random_density_matrix, random_tensor
 from reference import (
     bell_diagonal,
     bisect_one_point,
@@ -26,6 +26,7 @@ from bellri import (
     ri_bound_check,
     rotate_tensor,
     tensor_max_svd,
+    verdict_sweep,
 )
 from bellri.criteria import _DEPTH, _criterion
 
@@ -251,6 +252,28 @@ def random_pure(rng):
 def random_mixed(rng):
     w = rng.uniform()
     return w * random_pure(rng) + (1.0 - w) * random_density_matrix(rng)
+
+
+class TestDiagonalStacksSkipLapack:
+    """The singlet's mixtures with white noise, |00> and |01> have diagonal tensors."""
+
+    def test_sweep_makes_no_eigvalsh_call(self, monkeypatch):
+        calls = count_eigvalsh(monkeypatch)
+        assert len(verdict_sweep(0.0, 1.0, 1005)) == 1005
+        assert calls == []
+
+    @pytest.mark.parametrize("noise", [0, 1, 2], ids=["white", "ket00", "ket01"])
+    def test_singlet_thresholds_make_no_eigvalsh_call(self, monkeypatch, noise):
+        kets = [np.outer(e, e) for e in np.eye(4)[:2]]
+        calls = count_eigvalsh(monkeypatch)
+        assert critical_visibility(make_singlet(), [maximally_mixed(), *kets][noise], 1e-12)
+        assert calls == []
+
+    def test_a_non_diagonal_state_goes_through_eigvalsh(self, monkeypatch):
+        pure = random_pure(np.random.default_rng(2026))
+        calls = count_eigvalsh(monkeypatch)
+        critical_visibility(pure, maximally_mixed(), 1e-12)
+        assert len(calls) > 0
 
 
 # ROADMAP item F: both endpoints satisfy the criterion, and the segment between

@@ -433,6 +433,20 @@ class TestConsistencyVerdict:
             assert ver.criterion_margin == rep.margin
 
 
+class TestVerdictRecord:
+    def test_fields_cannot_be_assigned(self):
+        ver = consistency_verdict(0.5)
+        with pytest.raises(AttributeError):
+            ver.consistent = False
+
+    def test_asdict_keys_in_field_order(self):
+        keys = list(consistency_verdict(0.9)._asdict())
+        assert keys == ["v", "criterion_margin", "consistent", "explanation_code"]
+
+    def test_sweep_equals_the_one_point_verdicts(self):
+        assert verdict_sweep(0, 1, 3) == [consistency_verdict(v) for v in (0, 0.5, 1)]
+
+
 def assert_matches_per_point(verdicts):
     for ver in verdicts:
         one = consistency_verdict(ver.v)

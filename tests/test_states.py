@@ -296,8 +296,8 @@ class TestConverters:
 # public call taking the bad value there, and one finite value out of its range
 SCALAR_ARGUMENTS = [
     pytest.param("visibility", make_werner, 1.5, id="visibility"),
-    pytest.param("visibility", lambda x: verdict_sweep(x, 1.0, 3), -0.5, id="v_min"),
-    pytest.param("visibility", lambda x: verdict_sweep(0.0, x, 3), -0.5, id="v_max"),
+    pytest.param("visibility v_min", lambda x: verdict_sweep(x, 1.0, 3), -0.5, id="v_min"),
+    pytest.param("visibility v_max", lambda x: verdict_sweep(0.0, x, 3), -0.5, id="v_max"),
     pytest.param(
         "axis index i", lambda x: estimate_correlation(build_model(0.5), x, 1, 1000, 0), 4, id="i"
     ),

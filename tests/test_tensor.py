@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_density_matrix, random_tensor, random_unit_vector
+from conftest import count_eigvalsh, random_density_matrix, random_tensor, random_unit_vector
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import (
@@ -35,7 +35,13 @@ from bellri import (
     tensor_to_json,
 )
 from bellri.criteria import _criterion
-from bellri.tensor import TENSOR_BOUND, _pauli_expectations, _top_singular, validate_rotation
+from bellri.tensor import (
+    _SQ_MIN,
+    TENSOR_BOUND,
+    _pauli_expectations,
+    _top_singular,
+    validate_rotation,
+)
 
 SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -358,6 +364,29 @@ def svd_top(t):
     return np.linalg.svd(t, compute_uv=False)[..., 0]
 
 
+def gram_top(t):
+    """One tensor's T_max by the eigvalsh route, with the kernel's power-of-two rescaling."""
+    e = 0
+    if squared_sums(t) < _SQ_MIN and t.any():
+        e = np.frexp(np.abs(t).max())[1]
+        t = np.ldexp(t, -e)
+    return np.ldexp(np.sqrt(np.linalg.eigvalsh(t.T @ t)[-1]), e)
+
+
+def diagonal_stack(rng):
+    """Signed diagonal tensors, 1e-320 to 2^240, among them zero tensors and -0.0 off-diagonals."""
+    n = 3000
+    d = rng.uniform(-1.0, 1.0, (n, 3)) * 10.0 ** rng.uniform(-320.0, 72.3, (n, 1))
+    d = np.clip(d, -TENSOR_BOUND, TENSOR_BOUND)
+    d[::50] = 0.0
+    d[::70, 1] = -0.0
+    d[1::90] = TENSOR_BOUND * np.array([1.0, -1.0, 0.5])
+    ts = d[:, :, None] * np.eye(3)
+    ts[::3, 0, 2] = -0.0
+    ts[::5, 2, 1] = -0.0
+    return ts
+
+
 def mixed_stack(rng):
     """160 tensors, interleaving zero, subnormal, tiny, ordinary and large in-domain entries."""
     scales = [0.0, 1e-310, 1e-200, 1e-150, 1.0, 1e50, 2.0**200, 2.0**236] * 20
@@ -408,6 +437,26 @@ class TestTopSingular:
         want = np.abs(d).max(axis=1)
         assert np.array_equal(_top_singular(ts, squared_sums(ts)), want)
         assert [tensor_max_svd(t) for t in ts[:200]] == want[:200].tolist()
+
+    def test_diagonal_stack_has_the_bits_of_the_eigvalsh_route(self):
+        # an all-diagonal stack skips the Gram matrix; each entry still carries
+        # the bits the eigvalsh route gives that tensor alone, sign of zero included
+        ts = diagonal_stack(np.random.default_rng(35))
+        top = _top_singular(ts, squared_sums(ts))
+        want = np.array([gram_top(t) for t in ts])
+        assert np.array_equal(top, want)
+        assert np.array_equal(np.signbit(top), np.signbit(want))
+        assert top.tolist() == [tensor_max_svd(t) for t in ts]
+
+    @pytest.mark.parametrize("where", [(0, 1), (2, 0)])
+    def test_one_tiny_off_diagonal_entry_takes_the_eigvalsh_route(self, monkeypatch, where):
+        ts = diagonal_stack(np.random.default_rng(36))[:200]
+        ts[117][where] = 1e-300
+        calls = count_eigvalsh(monkeypatch)
+        top = _top_singular(ts, squared_sums(ts))
+        assert calls == [(200, 3, 3)]
+        ref = svd_top(ts)
+        assert np.all(np.abs(top - ref) <= 1e-15 * ref)
 
     def test_power_of_two_scaling_is_exact(self):
         # T_max(2^k T) = 2^k T_max(T) wherever the scaled entries stay normal;
