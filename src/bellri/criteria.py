@@ -44,14 +44,6 @@ PRIOR_TWO_SETTING_THRESHOLD = 2.0 * (2.0 / math.pi) ** 2
 COMPARISON_THRESHOLDS = (VISIBILITY_THRESHOLD, PRIOR_TWO_SETTING_THRESHOLD)
 
 _CHSH_PLANES = ((1, 2), (2, 3), (1, 3))
-# sign patterns of the four magnitudes on (T_aa, T_ab, T_ba, T_bb); the other
-# four patterns follow by negating one measurement column
-_CHSH_SIGNS = (
-    (1.0, -1.0, 1.0, 1.0),
-    (1.0, 1.0, -1.0, 1.0),
-    (1.0, 1.0, 1.0, -1.0),
-    (1.0, -1.0, -1.0, -1.0),
-)
 
 
 @dataclass(frozen=True)
@@ -125,9 +117,14 @@ def chsh_complete_set(t: Any, plane: tuple[int, int]) -> ChshReport:
     if key not in _CHSH_PLANES:
         raise DomainError(f"plane must be one of {_CHSH_PLANES}, got {plane!r}")
     i, j = key[0] - 1, key[1] - 1
-    entries = (float(a[i, i]), float(a[i, j]), float(a[j, i]), float(a[j, j]))
-    values = tuple(
-        abs(sum(s * e for s, e in zip(signs, entries))) for signs in _CHSH_SIGNS
+    aa, ab, ba, bb = a.item(i, i), a.item(i, j), a.item(j, i), a.item(j, j)
+    # one sign pattern per magnitude, summed left to right; the other four
+    # patterns follow by negating one measurement column
+    values = (
+        abs(aa - ab + ba + bb),
+        abs(aa + ab - ba + bb),
+        abs(aa + ab + ba - bb),
+        abs(aa - ab - ba - bb),
     )
     max_value = max(values)
     return ChshReport(

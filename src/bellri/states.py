@@ -156,7 +156,15 @@ def make_werner(v: float) -> np.ndarray:
 def require_unitary(u: Any) -> np.ndarray:
     """Return ``u`` as a complex 2x2 array after checking ``max |U^dag U - I| <= UNITARITY_TOL``."""
     uu = _finite_array(u, complex, (2, 2), "unitary")
-    unitarity = float(abs(uu.conj().T @ uu - np.eye(2)).max())
+    (a, b), (c, d) = uu.tolist()
+    g = a.conjugate() * b + c.conjugate() * d  # (U^dag U)_01, the conjugate of (U^dag U)_10
+    # in Python floats, which overflow to inf with no warning; diagonal first, as
+    # in tensor.validate_rotation, so that an overflow reads inf, never NaN
+    unitarity = max(
+        abs(a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag - 1.0),
+        abs(b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag - 1.0),
+        math.hypot(g.real, g.imag),
+    )
     if unitarity > UNITARITY_TOL:
         raise DomainError(f"matrix is not unitary: max |U^dag U - I| = {unitarity:.3e}")
     return uu

@@ -69,10 +69,22 @@ def as_tensor(t: Any) -> np.ndarray:
 def validate_rotation(r: Any) -> np.ndarray:
     """Return ``r`` as a proper rotation matrix or raise :class:`DomainError`."""
     a = _finite_array(r, float, (3, 3), "rotation matrix")
-    ortho = float(abs(a.T @ a - np.eye(3)).max())
+    (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = a.tolist()
+    # the entries of R^T R - I in Python floats, which overflow to inf with no
+    # warning; diagonal first: a sum of squares is never NaN, and an off-diagonal
+    # NaN (inf - inf) needs an entry whose square, on the diagonal, is inf, so max()
+    # has met that inf first and keeps it
+    ortho = max(
+        abs(x0 * x0 + y0 * y0 + z0 * z0 - 1.0),
+        abs(x1 * x1 + y1 * y1 + z1 * z1 - 1.0),
+        abs(x2 * x2 + y2 * y2 + z2 * z2 - 1.0),
+        abs(x0 * x1 + y0 * y1 + z0 * z1),
+        abs(x0 * x2 + y0 * y2 + z0 * z2),
+        abs(x1 * x2 + y1 * y2 + z1 * z2),
+    )
     if ortho > ROTATION_TOL:
         raise DomainError(f"matrix is not orthogonal: max |R^T R - I| = {ortho:.3e}")
-    det = float(np.linalg.det(a))
+    det = x0 * (y1 * z2 - y2 * z1) - x1 * (y0 * z2 - y2 * z0) + x2 * (y0 * z1 - y1 * z0)
     if abs(det - 1.0) > ROTATION_TOL:
         raise DomainError(f"matrix is not a proper rotation: det = {det!r}")
     return a
@@ -141,14 +153,24 @@ def tensor_max_svd(t: Any) -> float:
 def rotation_from_unitary(u: Any) -> np.ndarray:
     """SO(3) rotation induced on measurement axes by a 2x2 unitary.
 
-    Defined by ``U sigma_j U^dag = sum_i R_ij sigma_i``; any global phase of
-    ``u`` cancels in the conjugation.
+    Defined by ``U sigma_j U^dag = sum_i R_ij sigma_i``, so ``R_ij`` is
+    ``Tr(sigma_i U sigma_j U^dag) / 2``, written out here on the entries of
+    ``U = [[a, b], [c, d]]``. Each term pairs one entry with the conjugate of
+    another, so any global phase of ``u`` cancels, and the traces are real
+    for every 2x2 ``U``.
     """
-    uu = require_unitary(u)
-    # Tr(sigma_i U sigma_j U^dag) = Tr(M sigma_i (x) sigma_j) for the 4x4
-    # M[(b, d), (a, c)] = U[b, c] conj(U[a, d])
-    m = np.einsum("bc,ad->bdac", uu, uu.conj()).reshape(4, 4)
-    return 0.5 * _pauli_expectations(m)
+    (a, b), (c, d) = require_unitary(u).tolist()
+    ad, bc = a * d.conjugate(), b * c.conjugate()
+    ac, bd = a * c.conjugate(), b * d.conjugate()
+    ab, cd = a * b.conjugate(), c * d.conjugate()
+    zz = 0.5 * (a * a.conjugate() - b * b.conjugate() - c * c.conjugate() + d * d.conjugate()).real
+    return np.array(
+        [
+            [ad.real + bc.real, ad.imag - bc.imag, ac.real - bd.real],
+            [-ad.imag - bc.imag, ad.real - bc.real, bd.imag - ac.imag],
+            [ab.real - cd.real, ab.imag - cd.imag, zz],
+        ]
+    )
 
 
 def tensor_to_json(t: Any) -> dict:

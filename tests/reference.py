@@ -121,6 +121,42 @@ def correlation_value(rho: Any, n1: Any, n2: Any) -> float:
     return float(np.trace(m @ np.kron(a1, a2)).real)
 
 
+def rotation_by_traces(u: Any) -> np.ndarray:
+    """``R_ij = Tr(sigma_i U sigma_j U^dag) / 2`` as literal traces of 2x2 products."""
+    uu = np.asarray(u, dtype=complex)
+    return np.array(
+        [[0.5 * np.trace(si @ uu @ sj @ uu.conj().T).real for sj in PAULIS] for si in PAULIS]
+    )
+
+
+# sign patterns of the four CHSH magnitudes on (T_aa, T_ab, T_ba, T_bb)
+CHSH_SIGNS = (
+    (1.0, -1.0, 1.0, 1.0),
+    (1.0, 1.0, -1.0, 1.0),
+    (1.0, 1.0, 1.0, -1.0),
+    (1.0, -1.0, -1.0, -1.0),
+)
+
+
+def chsh_by_signed_sums(t: Any, plane: tuple[int, int]) -> tuple[float, ...]:
+    """The four CHSH magnitudes ``|sum_k s_k e_k|`` over ``CHSH_SIGNS``.
+
+    Each sum starts at 0 and adds the signed entries left to right: the
+    order of ``sum`` before Python 3.12, whose ``sum`` compensates float
+    rounding, so the loop spells the order out.
+    """
+    a = np.asarray(t, dtype=float)
+    i, j = plane[0] - 1, plane[1] - 1
+    entries = (float(a[i, i]), float(a[i, j]), float(a[j, i]), float(a[j, j]))
+    values = []
+    for signs in CHSH_SIGNS:
+        acc = 0
+        for s, e in zip(signs, entries):
+            acc = acc + s * e
+        values.append(abs(acc))
+    return tuple(values)
+
+
 def evaluate_via_tensor(t: Any, n1: Any, n2: Any) -> float:
     """Correlation at arbitrary directions from the axis tensor: ``n1^T T n2``."""
     return float(unit_vector(n1) @ as_tensor(t) @ unit_vector(n2))

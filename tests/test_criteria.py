@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 from conftest import count_eigvalsh, random_density_matrix, random_tensor
+from hypothesis import given
+from hypothesis import strategies as st
 from reference import (
     bell_diagonal,
     bisect_one_point,
+    chsh_by_signed_sums,
     frobenius_sum,
     random_rotation_pair,
     sphere_integral,
@@ -172,6 +175,47 @@ class TestChsh:
         expected = chsh_complete_set(t, (1, 3))
         for plane in [(1.0, 3.0), (np.int64(1), np.float64(3)), ("1", "3")]:
             assert chsh_complete_set(t, plane) == expected
+
+
+PLANES = [(1, 2), (2, 3), (1, 3)]
+
+
+class TestChshWrittenOutSums:
+    """The written-out magnitudes carry the bits of the signed sums over the sign patterns.
+
+    Each ``+-1.0 * e`` is exact and the sums run left to right, so every value
+    is compared with ``==``.
+    """
+
+    @staticmethod
+    def tensors():
+        rng = np.random.default_rng(41)
+        signs = rng.choice([-1.0, 1.0], (40, 3, 3))
+        return (
+            [random_tensor(rng) for _ in range(40)]
+            + list(signs * 0.0)  # signed zeros
+            + list(signs * rng.uniform(0.0, 2.0**-1022, (40, 3, 3)))  # subnormals
+            + list(signs * 2.0**240)
+            + list(signs * rng.uniform(0.0, 2.0**240, (40, 3, 3)))
+            # cancellation across scales: entries of 1, 2^-60 and 2^240
+            + list(signs * rng.choice([1.0, 2.0**-60, 2.0**240], (40, 3, 3)))
+        )
+
+    @pytest.mark.parametrize("plane", PLANES)
+    def test_same_bits_as_the_signed_sums(self, plane):
+        for t in self.tensors():
+            rep = chsh_complete_set(t, plane)
+            expected = chsh_by_signed_sums(t, plane)
+            assert rep.values == expected
+            assert rep.max_value == max(expected)
+
+    @given(
+        st.lists(st.floats(-(2.0**240), 2.0**240), min_size=9, max_size=9),
+        st.sampled_from(PLANES),
+    )
+    def test_same_bits_on_any_in_domain_tensor(self, entries, plane):
+        t = np.array(entries).reshape(3, 3)
+        assert chsh_complete_set(t, plane).values == chsh_by_signed_sums(t, plane)
 
 
 class TestCriticalVisibility:

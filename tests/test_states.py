@@ -136,6 +136,38 @@ class TestRandomUnitary:
         assert not np.allclose(random_unitary_2x2(0), random_unitary_2x2(1))
 
 
+class TestRequireUnitary:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_reported_defect_is_numpys(self, seed):
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        defect = np.abs(u.conj().T @ u - np.eye(2)).max()
+        with pytest.raises(DomainError, match=re.escape(f"max |U^dag U - I| = {defect:.3e}")):
+            require_unitary(u)
+
+    @pytest.mark.parametrize("delta, accepted", [(0.45e-12, True), (0.55e-12, False)])
+    def test_tolerance_edge(self, delta, accepted):
+        # (1 + delta) U has U^dag U - I = (2 delta + delta^2) I
+        u = random_unitary_2x2(4) * (1.0 + delta)
+        if accepted:
+            assert require_unitary(u) is u
+        else:
+            with pytest.raises(DomainError, match="not unitary"):
+                require_unitary(u)
+
+    @pytest.mark.parametrize(
+        "u",
+        [np.full((2, 2), 1e200 + 0j), np.full((2, 2), 1e200 + 1e200j), [[1e200, 1e200], [1e200, -1e200]]],
+        ids=["real", "complex", "inf-minus-inf"],
+    )
+    def test_huge_entries_are_one_error_and_no_warning(self, u):
+        # one DomainError and no numpy overflow warning (an error under this
+        # suite's filterwarnings); an inf - inf must not read NaN, which would
+        # pass the tolerance test
+        with pytest.raises(DomainError, match=re.escape("not unitary: max |U^dag U - I| = inf")):
+            require_unitary(u)
+
+
 class TestUuInvariance:
     def test_identity_conjugation(self):
         assert check_uu_invariance(make_werner(0.7), np.eye(2), 1e-12)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from reference import (
     random_rotation,
     random_rotation_pair,
     random_unitary_2x2,
+    rotation_by_traces,
     tensor_max_grid,
     to_unit_vector,
     unit_vector,
@@ -35,6 +37,7 @@ from bellri import (
     tensor_to_json,
 )
 from bellri.criteria import _criterion
+from bellri.states import UNITARITY_TOL
 from bellri.tensor import (
     _SQ_MIN,
     TENSOR_BOUND,
@@ -269,7 +272,7 @@ class TestRotateTensor:
         # R^T R - I is negative on the diagonal here
         with pytest.raises(DomainError, match="not orthogonal"):
             validate_rotation(0.999 * np.eye(3))
-        with pytest.raises(DomainError, match="proper"):
+        with pytest.raises(DomainError, match=re.escape("not a proper rotation: det = -1.0")):
             rotate_tensor(np.eye(3), np.diag([1.0, 1.0, -1.0]), np.eye(3))
 
     @pytest.mark.parametrize("seed", range(10))
@@ -569,19 +572,62 @@ class TestRotations:
     def test_rotation_from_identity_unitary(self):
         assert np.max(np.abs(rotation_from_unitary(np.eye(2)) - np.eye(3))) <= 1e-15
 
-    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("seed", range(40))
     def test_rotation_from_unitary_against_trace_oracle(self, seed):
-        u = random_unitary_2x2(seed)
-        oracle = np.array(
-            [[0.5 * np.trace(a @ u @ b @ u.conj().T).real for b in SIGMA] for a in SIGMA]
-        )
-        assert np.max(np.abs(rotation_from_unitary(u) - oracle)) <= 1e-14
+        # a Haar unitary times a random global phase, which the closed form cancels
+        phase = np.random.default_rng([seed, 7]).uniform(0.0, 2.0 * math.pi)
+        u = random_unitary_2x2(seed) * np.exp(1j * phase)
+        r = rotation_from_unitary(u)
+        assert np.max(np.abs(r - rotation_by_traces(u))) <= 1e-15
+        assert validate_rotation(r) is r
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rotation_from_unitary_near_the_unitarity_tolerance(self, seed):
+        # U (I + H) with a small Hermitian H has U^dag U - I close to 2H; scale
+        # H so that the defect lies just inside UNITARITY_TOL
+        rng = np.random.default_rng([seed, 8])
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        h = g + g.conj().T
+        w = random_unitary_2x2(seed) @ (np.eye(2) + 0.45 * UNITARITY_TOL * h / np.abs(h).max())
+        defect = np.abs(w.conj().T @ w - np.eye(2)).max()
+        assert 0.5 * UNITARITY_TOL < defect <= UNITARITY_TOL
+        assert np.max(np.abs(rotation_from_unitary(w) - rotation_by_traces(w))) <= 1e-15
 
     @pytest.mark.parametrize("seed", range(5))
     def test_rotation_from_unitary_is_proper(self, seed):
         r = rotation_from_unitary(random_unitary_2x2(seed))
         assert np.max(np.abs(r.T @ r - np.eye(3))) <= 1e-12
         assert abs(np.linalg.det(r) - 1.0) <= 1e-12
+
+
+class TestValidateRotation:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_determinant_matches_lapack(self, seed):
+        # negating a row of a Haar rotation keeps it orthogonal and flips the sign
+        # of its determinant, which the rejection reports as the triple product
+        r = rotation_from_unitary(random_unitary_2x2(seed)) * [[1.0], [1.0], [-1.0]]
+        with pytest.raises(DomainError, match="not a proper rotation") as info:
+            validate_rotation(r)
+        det = float(str(info.value).rsplit("= ", 1)[1])
+        assert abs(det - np.linalg.det(r)) <= 1e-15
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_reported_orthogonality_defect_is_numpys(self, seed):
+        r = np.random.default_rng(seed).uniform(-1.0, 1.0, (3, 3))
+        defect = np.abs(r.T @ r - np.eye(3)).max()
+        with pytest.raises(DomainError, match=re.escape(f"max |R^T R - I| = {defect:.3e}")):
+            validate_rotation(r)
+
+    @pytest.mark.parametrize(
+        "r",
+        [np.full((3, 3), 1e200), [[1e200, 1e200, 0.0], [1e200, -1e200, 0.0], [0.0, 0.0, 1.0]]],
+        ids=["all-huge", "inf-minus-inf"],
+    )
+    def test_huge_entries_are_one_error_and_no_warning(self, r):
+        # one DomainError and no numpy overflow warning (an error under this
+        # suite's filterwarnings); the second matrix's inf - inf must not read NaN
+        with pytest.raises(DomainError, match=re.escape("not orthogonal: max |R^T R - I| = inf")):
+            validate_rotation(r)
 
 
 class TestSerialization:
