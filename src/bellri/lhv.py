@@ -215,12 +215,12 @@ def sweep_margins(v_min: float, v_max: float, steps: int) -> tuple[list, list, l
     margins: list = []
     violated: list = []
     for lo in range(0, steps, _CHUNK):
-        # the singlet, I/4 and every mixture of them are valid by construction,
-        # so no state is validated. The states are mixed with make_werner's
-        # elementwise arithmetic, which keeps every margin bit-identical to the
-        # one-point path (mixing the endpoint tensors instead moves T_zz by an
-        # ulp at some visibilities), and a stacked entry has the bits of the
-        # entry alone, so the chunks change no bit either
+        # the singlet, I/4 and their mixtures are valid and Hermitian by construction,
+        # so no state is validated, and the imaginary parts the Pauli map drops are zero
+        # up to rounding. The states are mixed with make_werner's elementwise arithmetic,
+        # which keeps every margin bit-identical to the one-point path (mixing the endpoint
+        # tensors instead moves T_zz by an ulp at some visibilities), and a stacked entry
+        # has the bits of the entry alone, so the chunks change no bit either
         v = grid[lo : lo + _CHUNK, None, None]
         lhs, rhs, bad = _criterion(_pauli_expectations(v * singlet + (1.0 - v) * white))
         margins += (lhs - rhs).tolist()

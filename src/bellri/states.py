@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from typing import Any
 
 import numpy as np
@@ -51,11 +52,14 @@ def _real(x: Any, name: str, lo: Any = None, hi: Any = None) -> float:
 def _whole(x: Any, name: str, lo: Any = None, hi: Any = None) -> int:
     """``x`` as an int in ``[lo, hi]``; :class:`DomainError` unless it is a finite whole number there."""
     if not isinstance(x, numbers.Integral):
+        s = x.strip() if isinstance(x, str) else ""
+        digits = (s[1:] if s[:1] in "+-" else s).isdecimal()  # one sign at most, as int() takes
         try:
             # a string of digits converts exactly, where a float rounds above 2^53
-            f = int(x) if isinstance(x, str) and x.strip().lstrip("+-").isdecimal() else float(x)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"{name} must be a whole number, got {x!r}") from exc
+            f = int(x) if digits else float(x)
+        except (TypeError, ValueError) as exc:  # on digits, int() fails only above its digit limit
+            limit = f" of at most {sys.get_int_max_str_digits()} digits" if digits else ""
+            raise DomainError(f"{name} must be a whole number{limit}, got {x!r}") from exc
         if isinstance(f, float) and not f.is_integer():  # False for NaN and inf as well
             raise DomainError(f"{name} must be a finite whole number, got {x!r}")
         x = f

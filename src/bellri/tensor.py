@@ -16,10 +16,12 @@ from typing import Any
 import numpy as np
 
 from .errors import DomainError
-from .states import PAULIS, _as_array, _finite_array, require_unitary, validate_density_matrix
+from .states import PAULIS, UNITARITY_TOL, _as_array, _finite_array, require_unitary
+from .states import validate_density_matrix
 
-ROTATION_TOL = 1e-12
-IMAG_RESIDUE_TOL = 1e-12
+# R is quadratic in U: U^dag U = I + E gives R^T R - I ~ Tr(E) I and det R - 1 ~ (3/2) Tr E, so up
+# to 2 and 3 UNITARITY_TOL; the fourth is rounding headroom (det R - 1 reaches 3 tol + 1.6e-16)
+ROTATION_TOL = 4 * UNITARITY_TOL
 TENSOR_BOUND = 2.0**240  # largest |T_ij| that as_tensor accepts
 # LAPACK's dsyevd (through dsterf) rescales a tridiagonal block of norm below 2^-405
 # by a factor that is not a power of two; from this sum T^2 up, the block holding the
@@ -34,21 +36,14 @@ _PAULI_ROWS = np.array([np.kron(si, sj).T.ravel() for si in PAULIS for sj in PAU
 
 
 def _pauli_expectations(m: np.ndarray) -> np.ndarray:
-    """The 3x3 arrays ``Tr(m sigma_i (x) sigma_j)`` of a ``(..., 4, 4)`` stack with real traces.
+    """The 3x3 arrays ``Re Tr(m sigma_i (x) sigma_j)`` of a ``(..., 4, 4)`` stack.
 
-    A single 4x4 operand is the stack of one. Every operand goes through the
-    same (9, 16) @ (16, 1) product, so a stacked entry carries the same bits
-    as the entry computed alone.
+    ``Re Tr(M P) = Tr(((M + M^dag)/2) P)`` for Hermitian ``P``, so this is the tensor of
+    the Hermitian part: hermiticity has one bound, in ``validate_density_matrix``. A single
+    4x4 operand is the stack of one, and every operand goes through the same (9, 16) @ (16, 1)
+    product, so a stacked entry carries the same bits as the entry computed alone.
     """
-    z = _PAULI_ROWS @ m.reshape(-1, 16, 1)
-    # the traces are real analytically; anything beyond rounding noise
-    # signals an input that only barely passed its hermiticity check
-    residue = float(abs(z.imag).max())
-    if residue > IMAG_RESIDUE_TOL:
-        raise DomainError(
-            f"imaginary residue {residue:.3e} in Pauli expectations exceeds {IMAG_RESIDUE_TOL}"
-        )
-    return z.real.reshape(m.shape[:-2] + (3, 3))
+    return (_PAULI_ROWS @ m.reshape(-1, 16, 1)).real.reshape(m.shape[:-2] + (3, 3))
 
 
 def as_tensor(t: Any) -> np.ndarray:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from reference import sweep_stdout
 import test_cli_pinned as pinned
 
-from bellri import make_werner, matrix_to_json
+from bellri import compute_tensor, make_werner, matrix_from_json, matrix_to_json
 import bellri
 from bellri import cli, lhv
 from bellri.cli import main
@@ -121,16 +121,18 @@ class TestTensorCommand:
         assert_one_line_error(code, out, err)
         assert "rows must be a finite whole number" in err
 
-    def test_barely_hermitian_exits_2(self, tmp_path, capsys):
-        # passes the 1e-12 hermiticity check, but the traces keep an
-        # imaginary residue of about 2e-12
+    def test_barely_hermitian_prints_its_tensor(self, tmp_path, capsys):
+        # passes the 1e-12 hermiticity check; the traces' imaginary part of
+        # about 2e-12 is dropped, which leaves the tensor of the Hermitian part
         entries = matrix_to_json(make_werner(0.5))["entries"]
         for k in (3, 12, 6, 9):  # (0,3), (3,0), (1,2), (2,1)
             entries[k][1] += 0.49e-12
         state = write_state(tmp_path / "barely.json", entries)
         code, out, err = run(capsys, "tensor", "--state", state)
-        assert_one_line_error(code, out, err)
-        assert "imaginary residue" in err
+        assert (code, err) == (0, "")
+        rho = matrix_from_json({"rows": 4, "cols": 4, "entries": entries})
+        assert json.loads(out) == {"t": compute_tensor(rho).tolist()}
+        assert compute_tensor(rho).tolist() == (-0.5 * np.eye(3)).tolist()
 
     def test_invalid_file_names_trace(self, tmp_path, capsys):
         bad = np.eye(4, dtype=complex)  # trace 4
@@ -696,6 +698,17 @@ class TestMalformedFlagValue:
         code, out, err = run(capsys, *argv)
         assert_one_line_error(code, out, err)
         assert named in err and "usage:" not in err
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="no int digit limit (none before Python 3.10.7, or switched off)",
+    )
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_seed_over_the_int_digit_limit_names_the_limit(self, capsys, sign):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, *LHV, "--seed", sign + "7" * (limit + 1))
+        assert_one_line_error(code, out, err)
+        assert f"seed must be a whole number of at most {limit} digits" in err
 
 
 class TestConfigSchema:

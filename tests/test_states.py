@@ -24,7 +24,7 @@ from bellri import (
 )
 from bellri.cli import RunConfig
 from bellri.states import _whole, require_unitary
-from bellri.tensor import as_tensor, validate_rotation
+from bellri.tensor import as_tensor, rotate_tensor, rotation_from_unitary, validate_rotation
 
 
 class TestSinglet:
@@ -151,6 +151,9 @@ class TestRequireUnitary:
         u = random_unitary_2x2(4) * (1.0 + delta)
         if accepted:
             assert require_unitary(u) is u
+            # and so is the rotation it induces, whose R^T R - I is near 4 delta
+            r = rotation_from_unitary(u)
+            assert np.array_equal(rotate_tensor(np.eye(3), r, np.eye(3)), r)
         else:
             with pytest.raises(DomainError, match="not unitary"):
                 require_unitary(u)

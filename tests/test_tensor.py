@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 from conftest import count_eigvalsh, random_density_matrix, random_tensor, random_unit_vector
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference import (
     correlation_value,
@@ -22,6 +22,7 @@ from reference import (
 
 from bellri import (
     DomainError,
+    build_model,
     chsh_complete_set,
     compute_tensor,
     evaluate_ri_criterion,
@@ -35,10 +36,12 @@ from bellri import (
     tensor_from_json,
     tensor_max_svd,
     tensor_to_json,
+    validate_density_matrix,
 )
 from bellri.criteria import _criterion
-from bellri.states import UNITARITY_TOL
+from bellri.states import HERMITICITY_TOL, UNITARITY_TOL, require_unitary
 from bellri.tensor import (
+    ROTATION_TOL,
     _SQ_MIN,
     TENSOR_BOUND,
     _pauli_expectations,
@@ -58,6 +61,11 @@ def tensor_by_direct_traces(rho):
     return np.array(
         [[np.trace(rho @ np.kron(a, b)).real for b in SIGMA] for a in SIGMA]
     )
+
+
+# tensor entries lie in [-1, 1]; states with anti-Hermitian defects in (0.5, 1] x
+# HERMITICITY_TOL have read at most half an ulp of 1 from the Hermitian part's oracle
+HERMITIAN_PART_ATOL = 2 * np.spacing(1.0)  # two ulps of 1
 
 
 def grid_max_by_enumeration(t, n_theta, n_phi):
@@ -192,23 +200,25 @@ class TestComputeTensor:
         for rho, t in zip(rhos, stacked):
             assert np.array_equal(t, compute_tensor(rho))
 
-    def test_stacked_residue_check_covers_every_state(self):
+    def test_stacked_barely_hermitian_state_has_its_own_bits(self):
         bad = make_werner(0.5)
         for i, j in ((0, 3), (3, 0), (1, 2), (2, 1)):
             bad[i, j] += 0.49e-12j
         stack = np.array([make_werner(v) for v in (0.1, 0.2, 0.3)] + [bad])
-        with pytest.raises(DomainError, match="imaginary residue"):
-            _pauli_expectations(stack)
+        assert np.array_equal(_pauli_expectations(stack)[-1], compute_tensor(bad))
 
     @pytest.mark.parametrize("residue", [0.49e-12j, -0.49e-12j], ids=["positive", "negative"])
-    def test_rejects_imaginary_residue(self, residue):
-        # within the 1e-12 hermiticity tolerance, but Tr(rho sigma_x (x) sigma_y)
-        # picks up an imaginary part of about 2e-12, of either sign
+    def test_tensor_of_the_hermitian_part(self, residue):
+        # within the 1e-12 hermiticity tolerance, with an imaginary part of about
+        # 2e-12, of either sign, in Tr(rho sigma_x (x) sigma_y) of the Werner state
+        # and in Tr(rho sigma_x (x) sigma_x) of the other, which the tensor drops
         rho = make_werner(0.5)
         for i, j in ((0, 3), (3, 0), (1, 2), (2, 1)):
             rho[i, j] += residue
-        with pytest.raises(DomainError, match="imaginary residue"):
-            compute_tensor(rho)
+        for m in (rho, maximally_mixed() + residue * np.kron(SIGMA[0], SIGMA[0])):
+            assert validate_density_matrix(m) is m
+            hermitian_part = tensor_by_direct_traces((m + m.conj().T) / 2)
+            assert np.abs(compute_tensor(m) - hermitian_part).max() <= HERMITIAN_PART_ATOL
 
     def test_entries_within_unit_interval(self):
         rng = np.random.default_rng(12)
@@ -584,14 +594,17 @@ class TestRotations:
     @pytest.mark.parametrize("seed", range(20))
     def test_rotation_from_unitary_near_the_unitarity_tolerance(self, seed):
         # U (I + H) with a small Hermitian H has U^dag U - I close to 2H; scale
-        # H so that the defect lies just inside UNITARITY_TOL
+        # H so that the defect lies just inside UNITARITY_TOL. H = I, a pure scale,
+        # gives the largest rotation defects: 2x the tolerance in R^T R - I, 3x in det R - 1
         rng = np.random.default_rng([seed, 8])
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        h = g + g.conj().T
-        w = random_unitary_2x2(seed) @ (np.eye(2) + 0.45 * UNITARITY_TOL * h / np.abs(h).max())
-        defect = np.abs(w.conj().T @ w - np.eye(2)).max()
-        assert 0.5 * UNITARITY_TOL < defect <= UNITARITY_TOL
-        assert np.max(np.abs(rotation_from_unitary(w) - rotation_by_traces(w))) <= 1e-15
+        for h in (g + g.conj().T, np.eye(2)):
+            w = random_unitary_2x2(seed) @ (np.eye(2) + 0.45 * UNITARITY_TOL * h / np.abs(h).max())
+            defect = np.abs(w.conj().T @ w - np.eye(2)).max()
+            assert 0.5 * UNITARITY_TOL < defect <= UNITARITY_TOL
+            r = rotation_from_unitary(w)
+            assert np.max(np.abs(r - rotation_by_traces(w))) <= 1e-15
+            assert validate_rotation(r) is r
 
     @pytest.mark.parametrize("seed", range(5))
     def test_rotation_from_unitary_is_proper(self, seed):
@@ -628,6 +641,78 @@ class TestValidateRotation:
         # suite's filterwarnings); the second matrix's inf - inf must not read NaN
         with pytest.raises(DomainError, match=re.escape("not orthogonal: max |R^T R - I| = inf")):
             validate_rotation(r)
+
+
+def largest_accepted_scale(v, sign):
+    """Largest ``d``, to the last bit, with ``(1 + sign * d) V`` accepted by ``require_unitary``."""
+    lo, hi = 0.0, 10.0 * UNITARITY_TOL
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
+        try:
+            require_unitary(v * (1.0 + sign * mid))
+            lo = mid
+        except DomainError:
+            hi = mid
+
+
+class TestChecksCompose:
+    """What one check accepts, the next one accepts: hermiticity before the tensor, unitarity
+    before the rotation checks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), f=st.floats(0.5, 1.0, exclude_min=True))
+    def test_accepted_state_has_a_tensor(self, seed, f):
+        # an anti-Hermitian defect with a zero diagonal (the trace stays real) of
+        # size f x HERMITICITY_TOL on a random state
+        rng = np.random.default_rng([seed, 10])
+        k = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        a = 0.5 * (k - k.conj().T)
+        np.fill_diagonal(a, 0.0)
+        rho = random_density_matrix(rng) + f * HERMITICITY_TOL * a / np.abs(2.0 * a).max()
+        defect = np.abs(rho - rho.conj().T).max()
+        assume(0.5 * HERMITICITY_TOL < defect <= HERMITICITY_TOL)
+        validate_density_matrix(rho)
+        hermitian_part = tensor_by_direct_traces((rho + rho.conj().T) / 2)
+        assert np.abs(compute_tensor(rho) - hermitian_part).max() <= HERMITIAN_PART_ATOL
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        f=st.floats(0.5, 1.0, exclude_min=True),
+        scale=st.booleans(),
+    )
+    @example(seed=4, f=1.0, scale=True)
+    def test_accepted_unitary_gives_an_accepted_rotation(self, seed, f, scale):
+        # U (I + H) has U^dag U - I close to 2H; H = I, a pure scale, gives the
+        # largest rotation defects
+        rng = np.random.default_rng([seed, 11])
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        h = np.eye(2) if scale else g + g.conj().T
+        w = random_unitary_2x2(seed) @ (np.eye(2) + 0.5 * f * UNITARITY_TOL * h / np.abs(h).max())
+        defect = np.abs(w.conj().T @ w - np.eye(2)).max()
+        assume(0.5 * UNITARITY_TOL < defect)
+        try:
+            require_unitary(w)
+        except DomainError:
+            assume(False)
+        r = rotation_from_unitary(w)
+        assert np.array_equal(rotate_tensor(np.eye(3), r, r), r @ r.T)
+        m = build_model(0.5, r, r)
+        assert np.array_equal(m.r1, r) and np.array_equal(m.r2, r)
+
+    def test_largest_accepted_scale_gives_an_accepted_rotation(self):
+        # (1 +- d) V at the largest d that require_unitary accepts, for 300 Haar V:
+        # det R - 1 reaches 3 UNITARITY_TOL plus rounding, R^T R - I 2 UNITARITY_TOL
+        worst = 0.0
+        for seed in range(300):
+            v = random_unitary_2x2(seed)
+            for sign in (1.0, -1.0):
+                r = rotation_from_unitary(v * (1.0 + sign * largest_accepted_scale(v, sign)))
+                rotate_tensor(np.eye(3), r, r)
+                worst = max(worst, abs(np.linalg.det(r) - 1.0))
+        assert 3.0 * UNITARITY_TOL < worst < ROTATION_TOL
 
 
 class TestSerialization:
