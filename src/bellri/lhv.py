@@ -110,6 +110,8 @@ def _axis_streams(seed: int) -> list[np.random.Generator]:
 # starts and ends on a multiple of 8, so the leaves' bit-packed signs tile
 # one byte array.
 _LEAF = 1 << 16
+# row s: the eight signs that byte s packs, in np.packbits order
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
 
 
 def _pairwise(lo: int, hi: int, leaf: Callable[[int, int], Any]) -> Any:
@@ -140,7 +142,7 @@ def estimate_correlation(
     coins = (streams[i - 1].bit_generator, streams[j - 1].bit_generator)
     p = model.flip_probability
     size = min(n, _LEAF)
-    u = np.empty(size)
+    u = np.empty((size + 7) // 8 * 8)  # whole bytes' rows of the second pass
     neg = np.empty(size, dtype=bool)
     signs = np.empty((n + 7) // 8, dtype=np.uint8)
 
@@ -167,10 +169,15 @@ def estimate_correlation(
     # form 4k(n-k)/n nor a sum in other chunks does
     mean = (n - 2 * _pairwise(0, n, draw)) / n
     lut = np.array([(1.0 - mean) * (1.0 - mean), (-1.0 - mean) * (-1.0 - mean)])
+    rows = lut.take(_BYTE_BITS)
 
     def squares(a: int, b: int) -> float:
-        bits = np.unpackbits(signs[a // 8 : (b + 7) // 8], count=b - a)
-        return float(lut.take(bits, out=u[: b - a], mode="clip").sum())
+        # a leaf starts on a byte, so its bytes' rows are its squared deviations
+        # and then the padding of a last partial byte. mode="clip" writes into
+        # u directly, where the default "raise" goes through a temporary
+        packed = signs[a // 8 : (b + 7) // 8]
+        rows.take(packed, axis=0, out=u.reshape(-1, 8)[: packed.size], mode="clip")
+        return float(u[: b - a].sum())
 
     ss = _pairwise(0, n, squares)
     return McEstimate(

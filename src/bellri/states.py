@@ -178,12 +178,15 @@ def matrix_to_json(m: Any) -> dict:
     """Encode a complex matrix as ``{rows, cols, entries: [[re, im], ...]}``.
 
     Entries are row-major, reals at full double precision. Raises
-    :class:`DomainError` for input that does not convert, is not 2-d, or
-    has a NaN or inf entry, which ``json.dumps`` would write as a non-JSON token.
+    :class:`DomainError` for input that does not convert, is not 2-d, is
+    empty (the decoder takes at least one row and one column), or has a NaN
+    or inf entry, which ``json.dumps`` would write as a non-JSON token.
     """
     a = _as_array(m, complex, "matrix")
     if a.ndim != 2:
         raise DomainError(f"expected a 2-d matrix, got {a.ndim} dimensions")
+    if a.size == 0:
+        raise DomainError(f"rows and cols must be at least 1, got shape {a.shape}")
     _finite_array(a, complex, a.shape, "matrix")  # only the finite-entry check can fail
     return {
         "rows": int(a.shape[0]),

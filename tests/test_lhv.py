@@ -33,6 +33,7 @@ from bellri import (
 from bellri.cli import main
 from bellri.criteria import _criterion
 from bellri.lhv import (
+    _BYTE_BITS,
     _CHUNK,
     _LEAF,
     CONSISTENT,
@@ -286,6 +287,47 @@ class TestEstimateCorrelation:
         r1, r2 = _axis_streams(seed)[:2]
         words = r1.bit_generator.random_raw((m + 1) // 2) ^ r2.bit_generator.random_raw((m + 1) // 2)
         assert np.array_equal(words.view(np.uint32)[:m] >= 1 << 31, want)
+
+    @pytest.mark.parametrize("mean", [0.0, -0.75, 0.3, 1.0])
+    def test_byte_rows_are_the_unpacked_lookup(self, mean):
+        # the second pass's assumption about its table: row s of
+        # lut.take(_BYTE_BITS) is the lookup of byte s's unpacked bits
+        lut = np.array([(1.0 - mean) * (1.0 - mean), (-1.0 - mean) * (-1.0 - mean)])
+        rows = lut.take(_BYTE_BITS)
+        assert rows.shape == (256, 8)
+        for s in range(256):
+            bits = np.unpackbits(np.array([s], dtype=np.uint8))
+            assert np.array_equal(rows[s], lut.take(bits))
+        assert np.array_equal(np.packbits(_BYTE_BITS, axis=1).ravel(), np.arange(256))
+
+    @pytest.mark.parametrize("pair", [(1, 1), (2, 3)])
+    @pytest.mark.parametrize("n", [1001, 1007, _LEAF + 1])
+    def test_last_partial_byte_sums_only_its_samples(self, n, pair):
+        # the last leaf ends inside a byte, whose padding bits look up
+        # (1 - mean)^2, nonzero here: a sum over the whole byte's row would
+        # change std_error
+        model = build_model(0.3)
+        est = estimate_correlation(model, *pair, n, seed=5)
+        assert (est.mean, est.std_error) == reference_estimate(model, *pair, n, 5)
+
+    @pytest.mark.parametrize("pair, bound_mib", [((1, 1), 1.0), ((2, 3), 1.5)])
+    def test_working_set_beside_the_packed_signs(self, pair, bound_mib):
+        # tracemalloc peak minus the n/8 bytes of packed signs at n = 2*10^6:
+        # ~0.65 MiB on matched and ~1.28 MiB on mismatched axes, where the
+        # raw coin words dominate. The byte-row lookup writes into the leaf
+        # buffer; unpacking each leaf to one byte per sample and gathering
+        # through an intp copy of those bytes peaked at ~1.11 MiB on matched
+        # axes, which fails the 1 MiB bound
+        n = 2 * 10**6
+        model = build_model(0.75)
+        estimate_correlation(model, *pair, 1000, seed=3)
+        tracemalloc.start()
+        try:
+            estimate_correlation(model, *pair, n, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - n / 8 < bound_mib * 2**20
 
     @pytest.mark.parametrize("pair", [(1, 1), (2, 3)])
     def test_peak_memory_per_sample_falls_with_n(self, pair):

@@ -214,6 +214,15 @@ class TestJsonCodec:
         u = random_unitary_2x2(3)
         assert np.array_equal(matrix_from_json(matrix_to_json(u)), u)
 
+    @pytest.mark.parametrize("shape, field", [((0, 0), "rows"), ((1, 0), "cols"), ((0, 3), "rows")])
+    def test_encoder_rejects_what_the_decoder_rejects(self, shape, field):
+        # an empty matrix has no payload the decoder takes back
+        with pytest.raises(DomainError, match=re.escape(f"at least 1, got shape {shape}")):
+            matrix_to_json(np.zeros(shape))
+        payload = {"rows": shape[0], "cols": shape[1], "entries": []}
+        with pytest.raises(DomainError, match=f"{field} must be at least 1, got 0"):
+            matrix_from_json(payload)
+
     def test_rejects_entry_count_mismatch(self):
         with pytest.raises(DomainError, match="entries"):
             matrix_from_json({"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]})
