@@ -13,7 +13,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -142,7 +142,7 @@ def cmd_tensor(args: argparse.Namespace, cfg: RunConfig) -> Output:
 def cmd_criterion(args: argparse.Namespace, cfg: RunConfig) -> Output:
     report = criteria.evaluate_ri_criterion(tensor.compute_tensor(parse_state(args.state)))
     return Output(
-        lambda: asdict(report),
+        report._asdict,
         "lhs,rhs,margin,violated,threshold_criterion,threshold_prior_two_setting",
         lambda: [[report.lhs, report.rhs, report.margin, report.violated,
                   *report.comparison_thresholds]],
@@ -168,7 +168,7 @@ def cmd_threshold(args: argparse.Namespace, cfg: RunConfig) -> Output:
 def cmd_chsh(args: argparse.Namespace, cfg: RunConfig) -> Output:
     report = criteria.chsh_complete_set(tensor.compute_tensor(parse_state(args.state)), args.plane)
     return Output(
-        lambda: asdict(report),
+        report._asdict,
         "plane,value_1,value_2,value_3,value_4,bound,max_value,satisfied",
         lambda: [["%d%d" % report.plane, *report.values, report.bound, report.max_value,
                   report.satisfied]],

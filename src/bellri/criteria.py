@@ -19,8 +19,7 @@ family at every visibility, which is the point the criterion sharpens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -46,8 +45,7 @@ COMPARISON_THRESHOLDS = (VISIBILITY_THRESHOLD, PRIOR_TWO_SETTING_THRESHOLD)
 _CHSH_PLANES = ((1, 2), (2, 3), (1, 3))
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(NamedTuple):
     """Outcome of the rotationally invariant criterion on one tensor."""
 
     lhs: float
@@ -57,8 +55,7 @@ class CriterionReport:
     comparison_thresholds: tuple[float, float] = COMPARISON_THRESHOLDS
 
 
-@dataclass(frozen=True)
-class ChshReport:
+class ChshReport(NamedTuple):
     """The four two-setting magnitudes in one measurement plane."""
 
     plane: tuple[int, int]
@@ -68,8 +65,7 @@ class ChshReport:
     satisfied: bool
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Outcome of the functional form of the criterion."""
 
     lhs: float
@@ -111,9 +107,10 @@ def chsh_complete_set(t: Any, plane: tuple[int, int]) -> ChshReport:
     """
     a = as_tensor(t)
     try:
-        key = tuple(_whole(p, "plane axis") for p in plane)
-    except TypeError as exc:
+        p, q = plane
+    except (TypeError, ValueError) as exc:
         raise DomainError(f"plane must be a pair of axes, got {plane!r}") from exc
+    key = (_whole(p, "plane axis"), _whole(q, "plane axis"))
     if key not in _CHSH_PLANES:
         raise DomainError(f"plane must be one of {_CHSH_PLANES}, got {plane!r}")
     i, j = key[0] - 1, key[1] - 1

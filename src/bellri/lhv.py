@@ -157,7 +157,8 @@ def estimate_correlation(
         m = b - a
         np.less(flips.random(out=u[:m]), p, out=neg[:m])
         if i != j:
-            words = coins[0].random_raw((m + 1) // 2) ^ coins[1].random_raw((m + 1) // 2)
+            words = coins[0].random_raw((m + 1) // 2)
+            words ^= coins[1].random_raw((m + 1) // 2)  # in place: no third word array
             neg[:m] ^= words.view(np.uint32)[:m] >= 1 << 31
         signs[a // 8 : (b + 7) // 8] = np.packbits(neg[:m])
         return int(np.count_nonzero(neg[:m]))

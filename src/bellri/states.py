@@ -51,7 +51,7 @@ def _real(x: Any, name: str, lo: Any = None, hi: Any = None) -> float:
 
 def _whole(x: Any, name: str, lo: Any = None, hi: Any = None) -> int:
     """``x`` as an int in ``[lo, hi]``; :class:`DomainError` unless it is a finite whole number there."""
-    if not isinstance(x, numbers.Integral):
+    if type(x) is not int and not isinstance(x, numbers.Integral):  # an int skips the ABC test
         s = x.strip() if isinstance(x, str) else ""
         digits = (s[1:] if s[:1] in "+-" else s).isdecimal()  # one sign at most, as int() takes
         try:
@@ -129,7 +129,7 @@ def validate_density_matrix(rho: Any) -> np.ndarray:
     tr = sum(m.diagonal().tolist())
     if abs(tr - 1.0) > TRACE_TOL:
         raise DomainError(f"matrix trace {tr:.12g} differs from 1")
-    lowest = float(np.linalg.eigvalsh(m).min())
+    lowest = np.linalg.eigvalsh(m).item(0)  # LAPACK returns them in ascending order
     if lowest < EIGENVALUE_FLOOR:
         raise DomainError(
             f"matrix is not positive semidefinite: min eigenvalue = {lowest:.3e}"
@@ -191,7 +191,7 @@ def matrix_to_json(m: Any) -> dict:
     return {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
-        "entries": [[float(z.real), float(z.imag)] for z in a.ravel()],
+        "entries": np.ascontiguousarray(a).view(float).reshape(-1, 2).tolist(),
     }
 
 

@@ -55,7 +55,11 @@ def as_tensor(t: Any) -> np.ndarray:
     in-domain tensor can reach ``3 * 2^240``; such a result is rejected here.
     """
     a = _as_array(t, float, "correlation tensor")
-    if a.shape == (3, 3) and abs(a).max() <= TENSOR_BOUND:  # False for NaN and inf as well
+    # sum |T_ij| in Python floats bounds every entry, cheaper than numpy's abs and max;
+    # past the bound, NaN or inf, the entry test decides (False for NaN and inf as well)
+    if a.shape == (3, 3) and (
+        sum(map(abs, a.ravel().tolist())) <= TENSOR_BOUND or abs(a).max() <= TENSOR_BOUND
+    ):
         return a
     _finite_array(a, float, (3, 3), "correlation tensor")  # names a bad shape, NaN or inf
     raise DomainError("correlation tensor has an entry above 2^240 in magnitude")

@@ -623,10 +623,10 @@ class TestOutputPath:
         assert built == [fmt]
 
     def test_csv_sweep_builds_no_records(self, monkeypatch, capsys):
-        def no_asdict(obj):
-            raise AssertionError("asdict called for a CSV sweep")
+        def refuse(*args, **kwargs):
+            raise AssertionError("verdict record built for a CSV sweep")
 
-        monkeypatch.setattr(cli, "asdict", no_asdict)
+        monkeypatch.setattr(lhv, "ConsistencyVerdict", refuse)
         code, out, _ = run(capsys, "sweep", "--steps", "10001", "--format", "csv")
         assert code == 0 and out.count("\n") == 10002
 
@@ -634,7 +634,6 @@ class TestOutputPath:
         def refuse(*args, **kwargs):
             raise AssertionError("verdict record built for a JSON sweep")
 
-        monkeypatch.setattr(cli, "asdict", refuse)
         monkeypatch.setattr(lhv, "ConsistencyVerdict", refuse)
         code, out, _ = run(capsys, "sweep", "--steps", "10001", "--format", "json")
         assert code == 0 and out.count("\n") == 6 * 10001 + 2

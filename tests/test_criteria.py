@@ -17,6 +17,7 @@ from reference import (
 import bellri.criteria
 from bellri import (
     COMPARISON_THRESHOLDS,
+    CriterionReport,
     DomainError,
     chsh_complete_set,
     compute_tensor,
@@ -173,8 +174,60 @@ class TestChsh:
     def test_accepts_whole_plane_axes_of_any_type(self):
         t = werner_tensor(0.9)
         expected = chsh_complete_set(t, (1, 3))
-        for plane in [(1.0, 3.0), (np.int64(1), np.float64(3)), ("1", "3")]:
+        planes = [(1.0, 3.0), (np.int64(1), np.float64(3)), (np.int64(1), 3.0), ("1", "3"), "13"]
+        for plane in planes:
             assert chsh_complete_set(t, plane) == expected
+        assert chsh_complete_set(t, (True, 2)) == chsh_complete_set(t, (1, 2))
+
+    def test_complex_axes_are_rejected_though_the_pair_equals_a_plane(self):
+        # (1+0j, 2) hashes and compares equal to (1, 2): a lookup keyed on the
+        # plane itself would accept it
+        assert (1 + 0j, 2) == (1, 2) and hash((1 + 0j, 2)) == hash((1, 2))
+        with pytest.raises(DomainError, match="plane axis must be a whole number"):
+            chsh_complete_set(np.zeros((3, 3)), (1 + 0j, 2))
+
+    @pytest.mark.parametrize("plane", [(1, 2, 3), "123", "1"])
+    def test_a_plane_that_is_not_a_pair_says_so(self, plane):
+        with pytest.raises(DomainError, match="plane must be a pair of axes"):
+            chsh_complete_set(np.zeros((3, 3)), plane)
+
+
+class TestReportRecords:
+    """The three reports are named tuples: immutable, field by field, iterable."""
+
+    REPORTS = {
+        "criterion": (
+            evaluate_ri_criterion,
+            ["lhs", "rhs", "violated", "margin", "comparison_thresholds"],
+        ),
+        "chsh": (
+            lambda t: chsh_complete_set(t, (1, 3)),
+            ["plane", "values", "bound", "max_value", "satisfied"],
+        ),
+        "bound": (ri_bound_check, ["lhs", "rhs", "satisfied", "margin"]),
+    }
+
+    @pytest.mark.parametrize("name", REPORTS)
+    def test_asdict_keys_in_field_order(self, name):
+        make, keys = self.REPORTS[name]
+        rep = make(werner_tensor(0.9))
+        assert list(rep._asdict()) == keys
+        assert tuple(rep) == tuple(rep._asdict().values())
+
+    @pytest.mark.parametrize("name", REPORTS)
+    def test_fields_cannot_be_assigned(self, name):
+        make, keys = self.REPORTS[name]
+        rep = make(werner_tensor(0.9))
+        with pytest.raises(AttributeError):
+            setattr(rep, keys[0], 0.0)
+
+    def test_criterion_report_keeps_its_default_thresholds(self):
+        assert evaluate_ri_criterion(werner_tensor(0.9)).comparison_thresholds == (
+            COMPARISON_THRESHOLDS
+        )
+        assert CriterionReport(1.0, 2.0, False, -1.0).comparison_thresholds == (
+            COMPARISON_THRESHOLDS
+        )
 
 
 PLANES = [(1, 2), (2, 3), (1, 3)]

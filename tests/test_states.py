@@ -121,6 +121,18 @@ class TestValidation:
         with pytest.raises(DomainError, match="positive semidefinite"):
             validate_density_matrix(m)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rejection_names_the_lowest_eigenvalue(self, seed):
+        # a random Hermitian matrix of trace 1 with eigenvalues spread around zero
+        rng = np.random.default_rng([seed, 23])
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        h = (g + g.conj().T) / 2.0
+        m = h + (1.0 - np.trace(h).real) / 4.0 * np.eye(4)
+        lowest = np.linalg.eigvalsh(m).min()
+        assert lowest < -0.01
+        with pytest.raises(DomainError, match=re.escape(f"min eigenvalue = {lowest:.3e}")):
+            validate_density_matrix(m)
+
 
 class TestRandomUnitary:
     def test_deterministic(self):

@@ -46,6 +46,7 @@ from bellri.tensor import (
     TENSOR_BOUND,
     _pauli_expectations,
     _top_singular,
+    as_tensor,
     validate_rotation,
 )
 
@@ -529,10 +530,27 @@ class TestTensorDomain:
     @pytest.mark.parametrize("f", TENSOR_FUNCTIONS, ids=FUNCTION_IDS)
     def test_the_bound_itself_is_in_the_domain(self, f):
         t = TENSOR_BOUND * np.ones((3, 3))
+        assert sum(t.ravel().tolist()) > TENSOR_BOUND  # each entry is bounded, not their sum
         assert finite_floats(f(t))
         t[1, 2] = np.nextafter(TENSOR_BOUND, np.inf)
         with pytest.raises(DomainError, match=r"above 2\^240"):
             f(t)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [(0, 1), (2, 2)], ids=["T12", "T33"])
+    def test_non_finite_entry_after_a_finite_one_is_rejected(self, bad, where):
+        # a Python max() skips a NaN that is not the first entry
+        t = np.ones((3, 3))
+        t[where] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            as_tensor(t)
+
+    def test_one_entry_past_the_bound_is_rejected(self):
+        over = np.nextafter(2.0**240, np.inf)
+        # the last pair cancels in a sum that drops the magnitudes
+        for d in ([over, 0.0, 0.0], [-over, 0.0, 0.0], [over, -over, 0.0]):
+            with pytest.raises(DomainError, match=r"above 2\^240"):
+                as_tensor(np.diag(d))
 
     def test_all_ones_at_the_bound_give_exact_reports(self):
         assert TENSOR_BOUND == 2.0**240
