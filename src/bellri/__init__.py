@@ -9,7 +9,6 @@ whose rotated copies the criterion rules out above that visibility.
 
 from .criteria import (
     BoundReport,
-    COMPARISON_THRESHOLDS,
     ChshReport,
     CriterionReport,
     PRIOR_TWO_SETTING_THRESHOLD,
@@ -23,7 +22,6 @@ from .criteria import (
 from .errors import DomainError
 from .lhv import (
     ConsistencyVerdict,
-    LhvTwoSettingModel,
     McEstimate,
     build_model,
     consistency_verdict,
@@ -52,12 +50,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
-    "COMPARISON_THRESHOLDS",
     "ChshReport",
     "ConsistencyVerdict",
     "CriterionReport",
     "DomainError",
-    "LhvTwoSettingModel",
     "McEstimate",
     "PRIOR_TWO_SETTING_THRESHOLD",
     "VISIBILITY_THRESHOLD",

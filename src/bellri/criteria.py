@@ -19,6 +19,7 @@ family at every visibility, which is the point the criterion sharpens.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
@@ -101,13 +102,15 @@ def evaluate_ri_criterion(t: Any) -> CriterionReport:
 def chsh_complete_set(t: Any, plane: tuple[int, int]) -> ChshReport:
     """The four CHSH magnitudes for the axes pair ``plane`` (1-indexed).
 
-    ``plane`` must be one of (1, 2), (2, 3), (1, 3). Joint satisfaction of
-    the complete set in every plane is necessary and sufficient for a
-    two-setting local hidden variable model of those correlations.
+    ``plane`` must be one of (1, 2), (2, 3), (1, 3), in order: a tuple, list,
+    string such as ``"13"``, range or 1-d array. Joint satisfaction of the
+    complete set in every plane is necessary and sufficient for a two-setting
+    local hidden variable model of those correlations.
     """
     a = as_tensor(t)
     try:
-        p, q = plane
+        # ordered pairs only: a set, dict or iterator picks its own order. tuple skips the ABC test
+        p, q = plane if isinstance(plane, (tuple, Sequence, np.ndarray)) else ()
     except (TypeError, ValueError) as exc:
         raise DomainError(f"plane must be a pair of axes, got {plane!r}") from exc
     key = (_whole(p, "plane axis"), _whole(q, "plane axis"))

@@ -151,10 +151,14 @@ def maximally_mixed() -> np.ndarray:
     return np.eye(4, dtype=complex) / 4.0
 
 
+def _werner(v: Any) -> np.ndarray:
+    """``v * |psi><psi| + (1 - v) * I/4``, unchecked, for a float ``v`` or a ``(k, 1, 1)`` stack."""
+    return v * make_singlet() + (1.0 - v) * maximally_mixed()
+
+
 def make_werner(v: float) -> np.ndarray:
     """Noisy singlet ``v * |psi><psi| + (1 - v) * I/4`` for visibility ``v``."""
-    v = require_visibility(v)
-    return v * make_singlet() + (1.0 - v) * maximally_mixed()
+    return _werner(require_visibility(v))
 
 
 def require_unitary(u: Any) -> np.ndarray:

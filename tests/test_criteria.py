@@ -16,7 +16,6 @@ from reference import (
 
 import bellri.criteria
 from bellri import (
-    COMPARISON_THRESHOLDS,
     CriterionReport,
     DomainError,
     chsh_complete_set,
@@ -32,7 +31,7 @@ from bellri import (
     tensor_max_svd,
     verdict_sweep,
 )
-from bellri.criteria import _DEPTH, _criterion
+from bellri.criteria import _DEPTH, COMPARISON_THRESHOLDS, _criterion
 
 
 def werner_tensor(v):
@@ -174,7 +173,8 @@ class TestChsh:
     def test_accepts_whole_plane_axes_of_any_type(self):
         t = werner_tensor(0.9)
         expected = chsh_complete_set(t, (1, 3))
-        planes = [(1.0, 3.0), (np.int64(1), np.float64(3)), (np.int64(1), 3.0), ("1", "3"), "13"]
+        planes = [(1.0, 3.0), (np.int64(1), np.float64(3)), (np.int64(1), 3.0), ("1", "3"), "13",
+                  [1, 3], range(1, 4, 2), np.array([1, 3])]
         for plane in planes:
             assert chsh_complete_set(t, plane) == expected
         assert chsh_complete_set(t, (True, 2)) == chsh_complete_set(t, (1, 2))
@@ -186,8 +186,12 @@ class TestChsh:
         with pytest.raises(DomainError, match="plane axis must be a whole number"):
             chsh_complete_set(np.zeros((3, 3)), (1 + 0j, 2))
 
-    @pytest.mark.parametrize("plane", [(1, 2, 3), "123", "1"])
+    @pytest.mark.parametrize(
+        "plane",
+        [(1, 2, 3), "123", "1", {2, 1}, {1: 0, 3: 0}, frozenset({2, 3}), iter((1, 2))],
+    )
     def test_a_plane_that_is_not_a_pair_says_so(self, plane):
+        # a set, a dict or an iterator has no order the caller chose, so it is no pair
         with pytest.raises(DomainError, match="plane must be a pair of axes"):
             chsh_complete_set(np.zeros((3, 3)), plane)
 

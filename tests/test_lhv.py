@@ -18,7 +18,6 @@ from reference import (
 import bellri
 from bellri import (
     DomainError,
-    LhvTwoSettingModel,
     McEstimate,
     build_model,
     chsh_complete_set,
@@ -40,6 +39,7 @@ from bellri.lhv import (
     MAX_SAMPLES,
     MAX_STEPS,
     RI_VIOLATED,
+    LhvTwoSettingModel,
     _axis_streams,
     _pairwise,
     sweep_margins,
@@ -547,7 +547,7 @@ class TestVerdictSweep:
         assert peak <= 100 * steps + (1 << 20)
 
     def test_validates_neither_endpoint(self, monkeypatch):
-        # the sweep builds the singlet and I/4 itself, so it has nothing to validate
+        # the sweep mixes its states with states._werner, valid by construction, and validates none
         calls = {"n": 0}
         original = bellri.states.validate_density_matrix
 
