@@ -28,17 +28,19 @@ from .errors import DomainError
 from .states import _tolerance, _whole
 from .tensor import _top_singular, as_tensor, compute_tensor
 
-CRITERION_FACTOR = 2.25  # (3/2)^2
+CRITERION_FACTOR = 2.25  # (3/2)^2 = (2pi / (4pi/3))^2, see the thresholds below
 CHSH_BOUND = 2.0
 EQUALITY_SLACK = 1e-12
 _DEPTH = 4  # bisection levels judged per stacked criterion call
 # (E, E) per unit of sum T^2: the solid-angle integral of (n . m)^2 per sphere is 4pi/3
 _EE_FACTOR = (4.0 * math.pi / 3.0) ** 2
 
-# critical visibility of the noisy singlet under this criterion (which
-# critical_visibility recomputes), and the weaker previously reported
-# two-setting threshold kept for comparison. The latter is a cited constant:
-# nothing here derives 2 (2/pi)^2 or recomputes it from a model
+# Both thresholds come from one local-hidden-variable bound, (E_LHV, E_QM) <= (int |n . x|
+# dOmega)^2 T_max. Over both spheres (2pi; (E, E) = (4pi/3)^2 sum T^2) it is this criterion,
+# whose noisy-singlet threshold 3/4 critical_visibility recomputes. Over two circles of
+# coplanar settings (4; (E, E) = 2 pi^2 v^2 for the in-plane noisy singlet) it gives the weaker
+# 2 (2/pi)^2 = 8/pi^2 kept for comparison, which matches the coplanar functional Bell
+# inequality (Zukowski, Phys. Lett. A 177, 290 (1993)); the tests check both by quadrature
 VISIBILITY_THRESHOLD = 0.75
 PRIOR_TWO_SETTING_THRESHOLD = 2.0 * (2.0 / math.pi) ** 2
 COMPARISON_THRESHOLDS = (VISIBILITY_THRESHOLD, PRIOR_TWO_SETTING_THRESHOLD)

@@ -17,6 +17,11 @@ from typing import Any
 
 import numpy as np
 
+# np.linalg.eigvalsh's LAPACK gufunc without its wrapper, whose checks, casts and errstate
+# cost more than a 3x3 or 4x4 solve; the tests pin its bits against np.linalg.eigvalsh.
+# LAPACK's non-convergence reads NaN here, so each caller raises LinAlgError on a NaN
+from numpy.linalg._umath_linalg import eigvalsh_lo
+
 from .errors import DomainError
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -119,7 +124,7 @@ def validate_density_matrix(rho: Any) -> np.ndarray:
 
     Raises :class:`DomainError` naming the first violated invariant:
     shape, finite entries, hermiticity, unit trace, or positive
-    semidefiniteness.
+    semidefiniteness; ``LinAlgError`` if LAPACK's eigensolve does not converge.
     """
     m = _finite_array(rho, complex, (4, 4), "density matrix")
     h = 0.5 * m  # exact, and h - h^dag cannot overflow; Python floats reach inf with no warning
@@ -129,8 +134,10 @@ def validate_density_matrix(rho: Any) -> np.ndarray:
     tr = sum(m.diagonal().tolist())
     if abs(tr - 1.0) > TRACE_TOL:
         raise DomainError(f"matrix trace {tr:.12g} differs from 1")
-    lowest = np.linalg.eigvalsh(m).item(0)  # LAPACK returns them in ascending order
-    if lowest < EIGENVALUE_FLOOR:
+    lowest = eigvalsh_lo(m).item(0)  # LAPACK returns them in ascending order
+    if not lowest >= EIGENVALUE_FLOOR:  # False for NaN as well
+        if math.isnan(lowest):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
         raise DomainError(
             f"matrix is not positive semidefinite: min eigenvalue = {lowest:.3e}"
         )

@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from .errors import DomainError
-from .states import PAULIS, UNITARITY_TOL, _as_array, _finite_array, require_unitary
+from .states import PAULIS, UNITARITY_TOL, _as_array, _finite_array, eigvalsh_lo, require_unitary
 from .states import validate_density_matrix
 
 # R is quadratic in U: U^dag U = I + E gives R^T R - I ~ Tr(E) I and det R - 1 ~ (3/2) Tr E, so up
@@ -132,7 +132,9 @@ def _top_singular(t: np.ndarray, sq: Any) -> Any:
             e = np.frexp(np.abs(sub).max(axis=(-2, -1)))[1]
             t = t.copy()
             t[bad] = np.ldexp(sub, -e[:, None, None])
-    top = np.sqrt(np.linalg.eigvalsh(t.swapaxes(-1, -2) @ t)[..., -1])
+    top = np.sqrt(eigvalsh_lo(t.swapaxes(-1, -2) @ t)[..., -1])
+    if (top != top) if sq.ndim == 0 else np.isnan(top).any():  # NaN: LAPACK did not converge
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
     if e is not None:
         top[bad] = np.ldexp(top[bad], e)
     return top

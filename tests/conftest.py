@@ -25,17 +25,18 @@ def random_tensor(rng: np.random.Generator) -> np.ndarray:
 
 
 def count_eigvalsh(monkeypatch):
-    """Record the operand shape of every ``np.linalg.eigvalsh`` call on 3x3 Gram matrices.
+    """Record the operand shape of every eigensolve that the T_max kernel makes.
 
-    The 4x4 calls that validate each density matrix are not recorded.
+    Patches the ``eigvalsh_lo`` binding that ``bellri.tensor._top_singular`` calls.
+    ``validate_density_matrix`` calls the binding of ``bellri.states``, so its 4x4
+    solves are not recorded.
     """
     shapes = []
-    original = np.linalg.eigvalsh
+    original = bellri.tensor.eigvalsh_lo
 
     def counting(m):
-        if m.shape[-2:] == (3, 3):
-            shapes.append(m.shape)
+        shapes.append(m.shape)
         return original(m)
 
-    monkeypatch.setattr(bellri.tensor.np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(bellri.tensor, "eigvalsh_lo", counting)
     return shapes

@@ -31,7 +31,14 @@ from bellri import (
     tensor_max_svd,
     verdict_sweep,
 )
-from bellri.criteria import _DEPTH, COMPARISON_THRESHOLDS, _criterion
+from bellri.criteria import (
+    _DEPTH,
+    COMPARISON_THRESHOLDS,
+    CRITERION_FACTOR,
+    PRIOR_TWO_SETTING_THRESHOLD,
+    VISIBILITY_THRESHOLD,
+    _criterion,
+)
 
 
 def werner_tensor(v):
@@ -530,3 +537,95 @@ class TestRiBoundCheck:
             monkeypatch.setattr(module, "as_tensor", counting)
         ri_bound_check(werner_tensor(0.8).tolist())
         assert calls["n"] == 1
+
+
+def sphere_abs_projection(x, n):
+    """``int |n . x| dOmega`` over the unit sphere, by a product rule with its pole at ``x``.
+
+    Gauss-Legendre in ``n . x`` on each hemisphere, so the kink at the equator is a
+    node boundary, and the trapezoidal rule in the azimuth about ``x``.
+    """
+    x = x / np.linalg.norm(x)
+    e1 = np.cross(x, np.eye(3)[np.argmin(np.abs(x))])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(x, e1)
+    g, w = np.polynomial.legendre.leggauss(n)
+    u = np.concatenate([(g - 1.0) / 2.0, (g + 1.0) / 2.0])
+    phi = np.arange(2 * n) * (math.pi / n)
+    ring = np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2
+    dirs = u[:, None, None] * x + np.sqrt(1.0 - u * u)[:, None, None] * ring
+    return float(np.concatenate([w, w]) / 2.0 @ np.abs(dirs @ x).sum(axis=1) * (math.pi / n))
+
+
+def circle_abs_projection(a, n):
+    """``int |n . x| dphi`` over the unit circle, with ``x`` at angle ``a``.
+
+    Gauss-Legendre on each of the two arcs between the kinks at ``a +- pi/2``.
+    """
+    g, w = np.polynomial.legendre.leggauss(n)
+    x = np.array([math.cos(a), math.sin(a)])
+    total = 0.0
+    for start in (a - math.pi / 2.0, a + math.pi / 2.0):
+        phi = start + (g + 1.0) * (math.pi / 2.0)
+        dirs = np.column_stack([np.cos(phi), np.sin(phi)])
+        total += (math.pi / 2.0) * float(w @ np.abs(dirs @ x))
+    return total
+
+
+def circle_integral(t, n):
+    """``(E, E)`` over two circles of settings in the 1-2 plane, by the trapezoidal rule.
+
+    The integrand is a trigonometric polynomial of degree 2 in each angle, so ``n >= 5``
+    nodes make the rule exact.
+    """
+    phi = np.arange(n) * (2.0 * math.pi / n)
+    dirs = np.column_stack([np.cos(phi), np.sin(phi), np.zeros(n)])
+    values = dirs @ t @ dirs.T
+    return float((values * values).sum()) * (2.0 * math.pi / n) ** 2
+
+
+def close(got, want):
+    return abs(got - want) <= 1e-9 * abs(want)
+
+
+class TestThresholdsFromOneLhvBound:
+    """Both thresholds follow from ``(E_LHV, E_QM) <= (int |n . x| dOmega)^2 * T_max``.
+
+    With ``|A|, |B| <= 1``, the hidden-variable correlation paired with ``E_QM`` is at most
+    ``|int A n dOmega| |int B m dOmega| T_max``, and ``|int A n dOmega| <= max_x int |n . x|
+    dOmega``. A state with such a model meets the bound with ``E_LHV = E_QM``.
+    """
+
+    def test_sphere_gives_the_criterion_factor_and_three_quarters(self):
+        rng = np.random.default_rng(26)
+        s = sphere_abs_projection(rng.standard_normal(3), 16)
+        assert close(s, 2.0 * math.pi)
+        t = random_tensor(rng)
+        per_unit = sphere_integral(t, 8, 16) / frobenius_sum(t)  # (E, E) per unit of sum T^2
+        assert close(per_unit, (4.0 * math.pi / 3.0) ** 2)
+        # (E, E) <= s^2 T_max reads sum T^2 <= (s^2 / per_unit) T_max
+        factor = s * s / per_unit
+        assert close(factor, CRITERION_FACTOR) and CRITERION_FACTOR == 9.0 / 4.0
+        # on the noisy singlet sum T^2 = v^2 sum T(1)^2 and T_max = v T_max(1)
+        one = werner_tensor(1.0)
+        threshold = factor * tensor_max_svd(one) / frobenius_sum(one)
+        assert close(threshold, VISIBILITY_THRESHOLD) and VISIBILITY_THRESHOLD == 0.75
+        assert close(threshold, critical_visibility(make_singlet(), maximally_mixed(), 1e-12))
+
+    def test_circle_gives_the_prior_two_setting_threshold(self):
+        rng = np.random.default_rng(27)
+        c = circle_abs_projection(rng.uniform(0.0, 2.0 * math.pi), 16)
+        assert close(c, 4.0)
+        v = 0.6
+        t = werner_tensor(v)
+        ee = circle_integral(t, 16)
+        assert close(ee, 2.0 * math.pi**2 * v * v)
+        # the largest correlation over coplanar settings: T_max of the in-plane block
+        plane = t.copy()
+        plane[2], plane[:, 2] = 0.0, 0.0
+        t_max = tensor_max_svd(plane)
+        assert close(t_max, v)
+        # at visibility w, (E, E) = ee w^2 / v^2 meets c^2 T_max = c^2 t_max w / v at
+        threshold = c * c * t_max * v / ee
+        assert close(threshold, PRIOR_TWO_SETTING_THRESHOLD)
+        assert close(PRIOR_TWO_SETTING_THRESHOLD, 8.0 / math.pi**2)

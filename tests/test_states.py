@@ -7,10 +7,12 @@ import pytest
 from conftest import random_density_matrix
 from reference import check_uu_invariance, random_unitary_2x2, unit_vector
 
+import bellri.states
 from bellri import (
     DomainError,
     McEstimate,
     build_model,
+    compute_tensor,
     critical_visibility,
     estimate_correlation,
     make_singlet,
@@ -23,7 +25,7 @@ from bellri import (
     verdict_sweep,
 )
 from bellri.cli import RunConfig
-from bellri.states import _whole, require_unitary
+from bellri.states import EIGENVALUE_FLOOR, _whole, eigvalsh_lo, require_unitary
 from bellri.tensor import as_tensor, rotate_tensor, rotation_from_unitary, validate_rotation
 
 
@@ -132,6 +134,62 @@ class TestValidation:
         assert lowest < -0.01
         with pytest.raises(DomainError, match=re.escape(f"min eigenvalue = {lowest:.3e}")):
             validate_density_matrix(m)
+
+
+def density_matrix_with_lowest(rng, lowest):
+    """A seeded 4x4 Hermitian matrix of trace 1 whose lowest eigenvalue is ``lowest``."""
+    z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    q, _ = np.linalg.qr(z)
+    rest = rng.uniform(0.1, 1.0, 3)
+    p = np.concatenate([[lowest], rest * (1.0 - lowest) / rest.sum()])
+    m = (q * p) @ q.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+def state_stacks(rng):
+    """Seeded 100-matrix stacks of 4x4 complex density matrices: mixed, pure and at the floor."""
+    pure = rng.standard_normal((100, 4)) + 1j * rng.standard_normal((100, 4))
+    pure /= np.linalg.norm(pure, axis=1, keepdims=True)
+    edge = [EIGENVALUE_FLOOR + d for d in (-1e-13, -3e-14, -1e-14, 1e-14, 3e-14, 1e-13)]
+    return {
+        "mixed": np.array([random_density_matrix(rng) for _ in range(100)]),
+        "pure": pure[:, :, None] * pure[:, None, :].conj(),
+        "floor": np.array([density_matrix_with_lowest(rng, edge[k % 6]) for k in range(96)]),
+    }
+
+
+class TestEigvalshBinding:
+    """The state check's direct gufunc binding gives the bits of np.linalg.eigvalsh."""
+
+    @pytest.mark.parametrize("kind", ["mixed", "pure", "floor"])
+    def test_density_matrices_have_the_bits_of_numpy_linalg(self, kind):
+        ms = state_stacks(np.random.default_rng(24))[kind]
+        want = np.linalg.eigvalsh(ms)
+        for got in (eigvalsh_lo(ms), np.array([eigvalsh_lo(m) for m in ms])):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_verdicts_on_either_side_of_the_floor(self):
+        rng = np.random.default_rng(25)
+        for k, d in enumerate((-1e-13, -3e-14, -1e-14, 1e-14, 3e-14, 1e-13) * 10):
+            m = density_matrix_with_lowest(rng, EIGENVALUE_FLOOR + d)
+            lowest = np.linalg.eigvalsh(m)[0]
+            assert (lowest >= EIGENVALUE_FLOOR) == (d > 0), k  # the case probes its side
+            if d > 0:
+                assert validate_density_matrix(m) is not None
+            else:
+                with pytest.raises(DomainError, match=re.escape(f"= {lowest:.3e}")):
+                    validate_density_matrix(m)
+
+    @pytest.mark.parametrize(
+        "call", [validate_density_matrix, compute_tensor], ids=lambda f: f.__name__
+    )
+    def test_non_convergence_is_a_linalg_error(self, monkeypatch, call):
+        # the gufunc reports LAPACK's non-convergence as NaN, which no comparison rejects
+        monkeypatch.setattr(bellri.states, "eigvalsh_lo", lambda m: np.full(4, np.nan))
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            call(make_werner(0.5))
 
 
 class TestRandomUnitary:

@@ -20,11 +20,13 @@ from reference import (
     unit_vector,
 )
 
+import bellri.tensor
 from bellri import (
     DomainError,
     build_model,
     chsh_complete_set,
     compute_tensor,
+    critical_visibility,
     evaluate_ri_criterion,
     inner_product_ee,
     make_singlet,
@@ -47,6 +49,7 @@ from bellri.tensor import (
     _pauli_expectations,
     _top_singular,
     as_tensor,
+    eigvalsh_lo,
     validate_rotation,
 )
 
@@ -488,6 +491,84 @@ class TestTopSingular:
     def test_identity_out_of_the_plain_range(self, scale):
         # unscaled, 1e-200 * I had T_max = 0.0
         assert tensor_max_svd(scale * np.eye(3)) == scale
+
+
+def gram_stacks(rng):
+    """Seeded 200-matrix Gram stacks ``T^T T`` of each kind the T_max kernel solves."""
+    n = 200
+    t = rng.uniform(-1.0, 1.0, (n, 3, 3))
+    rank_one = rng.standard_normal((n, 3, 1)) * rng.standard_normal((n, 1, 3))
+    tiny = t * 1e-150  # sum T^2 ~ 1e-300, below _SQ_MIN ~ 3.9e-121
+    assert np.all(squared_sums(tiny) < _SQ_MIN)
+    e = np.frexp(np.abs(tiny).max(axis=(-2, -1)))[1]
+    signs = rng.choice([-1.0, 1.0], (n, 3, 3))
+    tensors = {
+        "random": t,
+        "rank-one": rank_one,
+        "rank-two": rank_one + rng.standard_normal((n, 3, 1)) * rng.standard_normal((n, 1, 3)),
+        "zero": np.zeros((n, 3, 3)),
+        "diagonal": rng.uniform(-1.0, 1.0, (n, 3))[:, :, None] * np.eye(3),
+        "rescaled": np.ldexp(tiny, -e[:, None, None]),  # as the kernel scales them
+        "near-bound": TENSOR_BOUND * rng.uniform(0.99, 1.0, (n, 3, 3)) * signs,
+    }
+    return {kind: a.swapaxes(-1, -2) @ a for kind, a in tensors.items()}
+
+
+class TestEigvalshBinding:
+    """The kernel's direct gufunc binding gives the bits of np.linalg.eigvalsh."""
+
+    @pytest.mark.parametrize(
+        "kind", ["random", "rank-one", "rank-two", "zero", "diagonal", "rescaled", "near-bound"]
+    )
+    def test_gram_stacks_have_the_bits_of_numpy_linalg(self, kind):
+        g = gram_stacks(np.random.default_rng(37))[kind]
+        want = np.linalg.eigvalsh(g)
+        for got in (eigvalsh_lo(g), np.array([eigvalsh_lo(m) for m in g])):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_the_kernel_and_the_state_check_share_one_binding(self):
+        assert bellri.tensor.eigvalsh_lo is bellri.states.eigvalsh_lo is eigvalsh_lo
+
+
+def fail_to_converge(monkeypatch, row):
+    """Make the kernel's eigensolve report LAPACK non-convergence (NaN) on one matrix."""
+    original = bellri.tensor.eigvalsh_lo
+
+    def failing(m):
+        w = original(m)
+        w.reshape(-1, 3)[row] = np.nan
+        return w
+
+    monkeypatch.setattr(bellri.tensor, "eigvalsh_lo", failing)
+
+
+class TestNonConvergence:
+    """The gufunc's NaN on non-convergence is a LinAlgError, never a report or a verdict."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-150], ids=["plain", "rescaled"])
+    def test_one_tensor(self, monkeypatch, scale):
+        t = random_tensor(np.random.default_rng(38)) * scale
+        fail_to_converge(monkeypatch, 0)
+        for call in (tensor_max_svd, evaluate_ri_criterion, ri_bound_check):
+            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                call(t)
+
+    @pytest.mark.parametrize("row", [0, 117, -1])
+    def test_stack(self, monkeypatch, row):
+        ts = mixed_stack(np.random.default_rng(39))
+        fail_to_converge(monkeypatch, row)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            _top_singular(ts, squared_sums(ts))
+
+    def test_critical_visibility(self, monkeypatch):
+        # a locally rotated singlet has a non-diagonal tensor, so its bisection calls LAPACK
+        u = np.kron(random_unitary_2x2(40), np.eye(2))
+        rotated = u @ make_singlet() @ u.conj().T
+        fail_to_converge(monkeypatch, 0)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            critical_visibility(rotated, maximally_mixed(), 1e-6)
 
 
 def finite_floats(x):
