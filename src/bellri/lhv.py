@@ -19,9 +19,10 @@ search over the continuum of frames is attempted.
 
 from __future__ import annotations
 
+import _thread
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -95,12 +96,14 @@ class ConsistencyVerdict(NamedTuple):
     explanation_code: str
 
 
-def _axis_streams(seed: int) -> list[np.random.Generator]:
+def _axis_streams(seed: int, keys: Iterable[int] = range(6)) -> list[np.random.Generator]:
     # six independent child streams: three for the first observer's coins,
     # three for the per-axis flips; the fixed derivation order keeps estimates
-    # reproducible regardless of which axes a caller consumes
-    children = np.random.SeedSequence(seed).spawn(6)
-    return [np.random.default_rng(s) for s in children]
+    # reproducible regardless of which axes a caller consumes. Child k is
+    # built alone as SeedSequence(seed, spawn_key=(k,)), which is
+    # SeedSequence(seed).spawn(6)[k], so a caller pays only for the streams it
+    # draws from
+    return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))) for k in keys]
 
 
 # Leaves of numpy's pairwise summation tree. np.add.reduce over a contiguous
@@ -108,8 +111,10 @@ def _axis_streams(seed: int) -> list[np.random.Generator]:
 # adds the two halves' sums; a node of at most _LEAF elements reduced on its
 # own gives the same bits as inside the whole array. Every leaf but the last
 # starts and ends on a multiple of 8, so the leaves' bit-packed signs tile
-# one byte array.
-_LEAF = 1 << 16
+# one byte array. The first pass draws in chunks of _LEAF samples, one per
+# thread at a time, so its two threads' buffers take what one thread's
+# leaves of 2^16 took.
+_LEAF = 1 << 15
 # row s: the eight signs that byte s packs, in np.packbits order
 _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
 
@@ -123,54 +128,109 @@ def _pairwise(lo: int, hi: int, leaf: Callable[[int, int], Any]) -> Any:
     return _pairwise(lo, lo + h, leaf) + _pairwise(lo + h, hi, leaf)
 
 
+def _twice(work: Callable[[], int]) -> int:
+    """``work() + work()``, one on the caller's thread and one on a helper thread at once.
+
+    The helper has ended its ``work`` before this returns, and its failure is
+    raised here.
+    """
+    helper_result: dict = {}
+    done = _thread.allocate_lock()
+    done.acquire()
+
+    def run() -> None:
+        try:
+            helper_result["sum"] = work()
+        except BaseException as exc:  # handed to the caller's thread
+            helper_result["error"] = exc
+        finally:
+            done.release()
+
+    # threading.Thread.start would block the caller until the new thread first
+    # runs, which on a machine whose other core is busy is a scheduler slice
+    # of several ms; the caller has chunks of its own to draw meanwhile, and a
+    # helper that starts late takes fewer of them
+    _thread.start_new_thread(run, ())
+    try:
+        mine = work()
+    finally:
+        done.acquire()
+    if "error" in helper_result:
+        raise helper_result["error"]
+    return mine + helper_result["sum"]
+
+
 def estimate_correlation(
     model: LhvTwoSettingModel, i: int, j: int, n: int, seed: int
 ) -> McEstimate:
     """Monte Carlo mean of ``a_i * b_j`` over ``n`` seeded draws (axes 1-indexed).
 
-    Draws one leaf of numpy's pairwise-sum tree at a time and keeps only the
-    signs, bit-packed: memory is ``n/8`` bytes plus a fixed working set.
-    ``n`` must lie in ``1000..MAX_SAMPLES`` (10^9); any other count raises
+    Draws ``_LEAF`` samples at a time and keeps only the signs, bit-packed:
+    memory is ``n/8`` bytes plus a fixed working set of about 1 MB. Two
+    threads draw, the caller's and one helper that the call starts, without
+    waiting for it to run, and waits for before it returns. Each takes the
+    next chunk of samples from its own streams advanced to the chunk's start,
+    so the result has the bits of one thread; an ``n`` of at most ``_LEAF``
+    starts no thread. ``n`` must lie in
+    ``1000..MAX_SAMPLES`` (10^9); any other count raises
     :class:`DomainError` before anything is allocated.
     """
     i = _whole(i, "axis index i", 1, 3)
     j = _whole(j, "axis index j", 1, 3)
     n = _whole(n, "sample count n", 1000, MAX_SAMPLES)
     seed = _whole(seed, "seed", 0)
-    streams = _axis_streams(seed)
-    flips = streams[3 + (j - 1)]
-    coins = (streams[i - 1].bit_generator, streams[j - 1].bit_generator)
     p = model.flip_probability
-    size = min(n, _LEAF)
-    u = np.empty((size + 7) // 8 * 8)  # whole bytes' rows of the second pass
-    neg = np.empty(size, dtype=bool)
     signs = np.empty((n + 7) // 8, dtype=np.uint8)
+    # one iterator shared by both threads; next() on it is one C call, which
+    # the GIL makes atomic, so each chunk goes to exactly one thread
+    chunks = iter(range(0, n, _LEAF))
 
-    def draw(a: int, b: int) -> int:
-        # neg marks the draws with a_i * b_j = a_i * a_j * flip_j = -1. On
-        # matched axes a_i * a_i = 1, so no coin is drawn; the streams are
-        # independent, so skipping one changes no other draw. A coin of
-        # integers(0, 2) is the top bit of one 32-bit half of the stream's
-        # 64-bit words, low half first (Lemire's method never rejects on a
-        # range of 2), so the parity of two coins is the top bit of the XOR
-        # of their raw words.
-        m = b - a
-        np.less(flips.random(out=u[:m]), p, out=neg[:m])
-        if i != j:
-            words = coins[0].random_raw((m + 1) // 2)
-            words ^= coins[1].random_raw((m + 1) // 2)  # in place: no third word array
-            neg[:m] ^= words.view(np.uint32)[:m] >= 1 << 31
-        signs[a // 8 : (b + 7) // 8] = np.packbits(neg[:m])
-        return int(np.count_nonzero(neg[:m]))
+    def count() -> int:
+        # the -1 products in the chunks this thread takes. Its streams skip
+        # the chunks the other thread took: a flip takes one 64-bit word per
+        # sample and a coin stream one per two samples, since every chunk
+        # but the last has _LEAF samples, a multiple of 8, which also gives
+        # each chunk's packed signs bytes of their own
+        keys = (3 + (j - 1), i - 1, j - 1) if i != j else (3 + (j - 1),)
+        flips, *coins = _axis_streams(seed, keys)
+        coins = [coin.bit_generator for coin in coins]
+        u = np.empty(min(n, _LEAF))
+        neg = np.empty(u.size, dtype=bool)
+        at = k = 0  # the sample this thread's streams stand at; its count
+        for a in chunks:
+            if a > at:
+                flips.bit_generator.advance(a - at)
+                for coin in coins:
+                    coin.advance((a - at) // 2)
+            m = min(_LEAF, n - a)
+            at = a + m
+            # neg marks the draws with a_i * b_j = a_i * a_j * flip_j = -1. On
+            # matched axes a_i * a_i = 1, so no coin is drawn; the streams are
+            # independent, so skipping one changes no other draw. A coin of
+            # integers(0, 2) is the top bit of one 32-bit half of the stream's
+            # 64-bit words, low half first (Lemire's method never rejects on a
+            # range of 2), so the parity of two coins is the top bit of the XOR
+            # of their raw words.
+            np.less(flips.random(out=u[:m]), p, out=neg[:m])
+            if coins:
+                words = coins[0].random_raw((m + 1) // 2)
+                words ^= coins[1].random_raw((m + 1) // 2)  # in place: no third word array
+                neg[:m] ^= words.view(np.uint32)[:m] >= 1 << 31
+            signs[a // 8 : (at + 7) // 8] = np.packbits(neg[:m])
+            k += int(np.count_nonzero(neg[:m]))
+        return k
 
     # the products are +-1, so their float sum n - 2k is exact and the mean is
     # that of the full product array bit for bit. The squared deviations take
     # two values; summing them leaf by leaf in numpy's tree reproduces
     # std(ddof=1) of the full array bit for bit, which neither the closed
-    # form 4k(n-k)/n nor a sum in other chunks does
-    mean = (n - 2 * _pairwise(0, n, draw)) / n
+    # form 4k(n-k)/n nor a sum in other chunks does. The second pass stays on
+    # one thread: its table lookup holds the GIL, and a second thread made it
+    # no faster
+    mean = (n - 2 * (_twice(count) if n > _LEAF else count())) / n
     lut = np.array([(1.0 - mean) * (1.0 - mean), (-1.0 - mean) * (-1.0 - mean)])
     rows = lut.take(_BYTE_BITS)
+    u = np.empty((min(n, _LEAF) + 7) // 8 * 8)  # whole bytes' rows
 
     def squares(a: int, b: int) -> float:
         # a leaf starts on a byte, so its bytes' rows are its squared deviations

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import count_eigvalsh, random_density_matrix, random_tensor
+from conftest import count_eigvalsh, random_density_matrix, random_tensor, random_unit_vector
 from hypothesis import given
 from hypothesis import strategies as st
 from reference import (
@@ -539,11 +539,12 @@ class TestRiBoundCheck:
         assert calls["n"] == 1
 
 
-def sphere_abs_projection(x, n):
-    """``int |n . x| dOmega`` over the unit sphere, by a product rule with its pole at ``x``.
+def sphere_rule(x, n):
+    """Nodes and weights of a product rule over the unit sphere with its pole at ``x``.
 
-    Gauss-Legendre in ``n . x`` on each hemisphere, so the kink at the equator is a
-    node boundary, and the trapezoidal rule in the azimuth about ``x``.
+    Gauss-Legendre in ``n . x`` on each hemisphere, so the kink of ``|n . x|`` or
+    ``sign(n . x)`` at the equator is a node boundary, and the trapezoidal rule in the
+    azimuth about ``x``.
     """
     x = x / np.linalg.norm(x)
     e1 = np.cross(x, np.eye(3)[np.argmin(np.abs(x))])
@@ -554,7 +555,23 @@ def sphere_abs_projection(x, n):
     phi = np.arange(2 * n) * (math.pi / n)
     ring = np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2
     dirs = u[:, None, None] * x + np.sqrt(1.0 - u * u)[:, None, None] * ring
-    return float(np.concatenate([w, w]) / 2.0 @ np.abs(dirs @ x).sum(axis=1) * (math.pi / n))
+    weights = np.repeat(np.concatenate([w, w]) / 2.0, 2 * n) * (math.pi / n)
+    return dirs.reshape(-1, 3), weights
+
+
+def sphere_abs_projection(x, n):
+    """``int |n . x| dOmega`` over the unit sphere, by ``sphere_rule`` with its pole at ``x``."""
+    dirs, weights = sphere_rule(x, n)
+    return float(weights @ np.abs(dirs @ (x / np.linalg.norm(x))))
+
+
+def sign_witness_pairing(t, x, y):
+    """``int int sign(n . x) sign(m . y) n . T m dOmega_n dOmega_m``, by ``sphere_rule``."""
+    n_dirs, n_w = sphere_rule(x, 16)
+    m_dirs, m_w = sphere_rule(y, 16)
+    a = n_w * np.sign(n_dirs @ x)
+    b = m_w * np.sign(m_dirs @ y)
+    return float(a @ (n_dirs @ t @ m_dirs.T) @ b)
 
 
 def circle_abs_projection(a, n):
@@ -611,6 +628,20 @@ class TestThresholdsFromOneLhvBound:
         threshold = factor * tensor_max_svd(one) / frobenius_sum(one)
         assert close(threshold, VISIBILITY_THRESHOLD) and VISIBILITY_THRESHOLD == 0.75
         assert close(threshold, critical_visibility(make_singlet(), maximally_mixed(), 1e-12))
+
+    @pytest.mark.parametrize("which", ["random", "werner"])
+    def test_sign_witness_at_the_top_singular_pair_attains_the_bound(self, which):
+        # A(n) = sign(n . u1) and B(m) = sign(m . v1) at the top singular pair of T
+        # pair with E_QM(n, m) = n . T m to (int |n . x| dOmega)^2 T_max: the bound is
+        # attained, so no smaller factor holds for every tensor
+        rng = np.random.default_rng(28)
+        t = random_tensor(rng) if which == "random" else werner_tensor(0.8)
+        u, _, vt = np.linalg.svd(t)
+        s = sphere_abs_projection(u[:, 0], 16)
+        assert close(sign_witness_pairing(t, u[:, 0], vt[0]), s * s * tensor_max_svd(t))
+        # a sign witness about two random axes pairs to less
+        x, y = random_unit_vector(rng), random_unit_vector(rng)
+        assert abs(sign_witness_pairing(t, x, y)) < s * s * tensor_max_svd(t)
 
     def test_circle_gives_the_prior_two_setting_threshold(self):
         rng = np.random.default_rng(27)

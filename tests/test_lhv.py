@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -260,7 +264,10 @@ class TestEstimateCorrelation:
 
     @pytest.mark.parametrize("pair", [(1, 1), (2, 3), (3, 1)])
     @pytest.mark.parametrize(
-        "n", [_LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 7, 3 * _LEAF + 5, 10**6 + 7]
+        "n",
+        [_LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 7, 3 * _LEAF + 5, 10**6 + 7]
+        # two threads' chunks: whole, then a last one of 1, 8 or _LEAF - 1 samples
+        + [2 * _LEAF, 2 * _LEAF + 1, 2 * _LEAF + 8, 4 * _LEAF - 1],
     )
     def test_bit_identical_to_reference_at_leaf_boundaries(self, n, pair):
         model = build_model(0.3)
@@ -288,6 +295,38 @@ class TestEstimateCorrelation:
         words = r1.bit_generator.random_raw((m + 1) // 2) ^ r2.bit_generator.random_raw((m + 1) // 2)
         assert np.array_equal(words.view(np.uint32)[:m] >= 1 << 31, want)
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1])
+    def test_axis_streams_are_the_spawned_children(self, seed):
+        # each stream built alone is child k of SeedSequence(seed).spawn(6),
+        # the derivation the seeded estimates were pinned with
+        children = np.random.SeedSequence(seed).spawn(6)
+        streams = _axis_streams(seed)
+        assert len(streams) == 6
+        for k, stream in enumerate(streams):
+            want = np.random.default_rng(children[k]).bit_generator.random_raw(8)
+            assert np.array_equal(stream.bit_generator.random_raw(8), want)
+        for k in (5, 0, 3):
+            (alone,) = _axis_streams(seed, (k,))
+            want = np.random.default_rng(children[k]).bit_generator.random_raw(8)
+            assert np.array_equal(alone.bit_generator.random_raw(8), want)
+
+    @pytest.mark.parametrize("k", [0, 1, 8, _LEAF, 500000])
+    def test_advance_continues_the_uniform_draws(self, k):
+        # the estimator's assumption about PCG64.advance: a stream advanced by
+        # k gives draws k.. of one that was not, through random(out=...)
+        whole = np.random.default_rng(k).random(k + 1000)
+        rng = np.random.default_rng(k)
+        rng.bit_generator.advance(k)
+        assert np.array_equal(rng.random(out=np.empty(1000)), whole[k:])
+
+    @pytest.mark.parametrize("k", [0, 1, 4, _LEAF // 2, 250000])
+    def test_advance_continues_the_raw_words(self, k):
+        # and through random_raw, whose words k.. a coin stream advanced by k gives
+        whole = np.random.default_rng(k).bit_generator.random_raw(k + 1000)
+        bits = np.random.default_rng(k).bit_generator
+        bits.advance(k)
+        assert np.array_equal(bits.random_raw(1000), whole[k:])
+
     @pytest.mark.parametrize("mean", [0.0, -0.75, 0.3, 1.0])
     def test_byte_rows_are_the_unpacked_lookup(self, mean):
         # the second pass's assumption about its table: row s of
@@ -313,8 +352,10 @@ class TestEstimateCorrelation:
     @pytest.mark.parametrize("pair, bound_mib", [((1, 1), 1.0), ((2, 3), 1.2)])
     def test_working_set_beside_the_packed_signs(self, pair, bound_mib):
         # tracemalloc peak minus the n/8 bytes of packed signs at n = 2*10^6:
-        # ~0.65 MiB on matched and ~1.05 MiB on mismatched axes, where the
-        # raw coin words dominate. The byte-row lookup writes into the leaf
+        # ~0.58 MiB on matched and ~1.07 MiB on mismatched axes, where the
+        # raw coin words dominate; the two threads' buffers for chunks of 2^15
+        # samples together take what one thread's for leaves of 2^16 did (~0.64
+        # and ~1.05 MiB on one thread). The byte-row lookup writes into the leaf
         # buffer; unpacking each leaf to one byte per sample and gathering
         # through an intp copy of those bytes peaked at ~1.11 MiB on matched
         # axes, which fails the 1 MiB bound. The second coin stream's words
@@ -364,6 +405,94 @@ class TestEstimateCorrelation:
         )
         assert matched_hits >= 19
         assert mismatched_hits >= 19
+
+
+def _os_threads() -> int:
+    # every thread of this process: threading.active_count() counts only the
+    # threads that the threading module started, and the helper is started
+    # with _thread
+    if os.path.isdir("/proc/self/task"):
+        return len(os.listdir("/proc/self/task"))
+    return threading.active_count()
+
+
+def _threads_settle_to(count: int) -> bool:
+    # the helper hands the caller its result just before its thread exits
+    deadline = time.monotonic() + 2.0
+    while _os_threads() != count:
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(1e-3)
+    return True
+
+
+class TestThreads:
+    """``estimate_correlation`` runs a helper thread inside the call and nowhere else."""
+
+    def test_no_thread_outlives_a_call(self):
+        before, os_before = threading.active_count(), _os_threads()
+        estimate_correlation(build_model(0.75), 2, 3, 10**6, seed=1)
+        assert threading.active_count() == before
+        assert _threads_settle_to(os_before)
+
+    @pytest.mark.parametrize(
+        "fails",
+        [lambda calls, caller: len(calls) == 2, lambda calls, caller: calls[-1] != caller],
+        ids=["second-call", "helper-call"],
+    )
+    def test_a_failure_reaches_the_caller_and_no_thread_outlives_it(self, monkeypatch, fails):
+        # get_ident, not current_thread, which would register the helper with
+        # the threading module for the rest of the process
+        calls = []
+        caller = threading.get_ident()
+        original = bellri.lhv._axis_streams
+
+        def failing(*args):
+            calls.append(threading.get_ident())
+            if fails(calls, caller):
+                raise RuntimeError("no streams")
+            return original(*args)
+
+        monkeypatch.setattr(bellri.lhv, "_axis_streams", failing)
+        before, os_before = threading.active_count(), _os_threads()
+        with pytest.raises(RuntimeError, match="no streams"):
+            estimate_correlation(build_model(0.75), 2, 3, 10**6, seed=1)
+        assert threading.active_count() == before
+        assert _threads_settle_to(os_before)
+        assert len(calls) == 2 and caller in calls
+
+    def test_one_leaf_starts_no_thread(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(bellri.lhv._thread, "start_new_thread", refuse)
+        model = build_model(0.3)
+        est = estimate_correlation(model, 2, 3, _LEAF, seed=2)
+        assert (est.mean, est.std_error) == reference_estimate(model, 2, 3, _LEAF, 2)
+
+    def test_two_callers_at_once_get_the_serial_bits(self):
+        # two callers and their helpers are four threads on the GIL, switched
+        # every 10 us: each writes only the chunks it takes, into its own call's signs
+        model = build_model(0.6)
+        jobs = [(1, 1, 10**6, 3), (2, 3, 10**6 + 7, 4)]
+        want = [estimate_correlation(model, *job) for job in jobs]
+        got = [None, None]
+
+        def run(k):
+            got[k] = estimate_correlation(model, *jobs[k])
+
+        callers = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == want
 
 
 class TestMcReport:
