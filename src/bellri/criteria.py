@@ -11,9 +11,11 @@ The rotationally invariant criterion is one criterion in two normalisations:
   exactly, both sides are the algebraic ones times ``(4pi/3)^2``, and the
   verdict is the algebraic one.
 
-Both flag the noisy singlet above visibility 3/4. The complete two-setting
-CHSH set (:func:`chsh_complete_set`), by contrast, is satisfied by that
-family at every visibility, which is the point the criterion sharpens.
+Both flag the noisy singlet above visibility 3/4: they rule out *rotationally
+invariant* local hidden variable models. That 0.75 is compared with two-setting
+experiments at orthogonal or coplanar axes, such as the complete CHSH set
+(:func:`chsh_complete_set`), which that family satisfies at every visibility,
+not with CHSH at optimal settings, which already rules it out above 1/sqrt(2).
 """
 
 from __future__ import annotations

@@ -170,10 +170,8 @@ def estimate_correlation(
     threads draw, the caller's and one helper that the call starts, without
     waiting for it to run, and waits for before it returns. Each takes the
     next chunk of samples from its own streams advanced to the chunk's start,
-    so the result has the bits of one thread; an ``n`` of at most ``_LEAF``
-    starts no thread. ``n`` must lie in
-    ``1000..MAX_SAMPLES`` (10^9); any other count raises
-    :class:`DomainError` before anything is allocated.
+    so the result has the bits of one thread. ``n`` must lie in ``1000..MAX_SAMPLES``
+    (10^9); any other count raises :class:`DomainError` before anything is allocated.
     """
     i = _whole(i, "axis index i", 1, 3)
     j = _whole(j, "axis index j", 1, 3)
@@ -227,7 +225,7 @@ def estimate_correlation(
     # form 4k(n-k)/n nor a sum in other chunks does. The second pass stays on
     # one thread: its table lookup holds the GIL, and a second thread made it
     # no faster
-    mean = (n - 2 * (_twice(count) if n > _LEAF else count())) / n
+    mean = (n - 2 * _twice(count)) / n
     lut = np.array([(1.0 - mean) * (1.0 - mean), (-1.0 - mean) * (-1.0 - mean)])
     rows = lut.take(_BYTE_BITS)
     u = np.empty((min(n, _LEAF) + 7) // 8 * 8)  # whole bytes' rows

@@ -122,8 +122,7 @@ def _top_singular(t: np.ndarray, sq: Any) -> Any:
     if sq.ndim == 0:  # one tensor: compare the scalar, no array reductions
         if sq < _SQ_MIN:
             return _top_singular(t[None], np.reshape(sq, 1))[0]
-    # t.item(-8), the last tensor's T_12, turns most other stacks away before the scan
-    elif not t.item(-8) and not np.count_nonzero(t.reshape(-1, 9)[:, _OFF_DIAGONAL]):
+    elif not np.count_nonzero(t.reshape(-1, 9)[:, _OFF_DIAGONAL]):
         return abs(np.diagonal(t, axis1=-2, axis2=-1)).max(axis=-1)
     elif sq.min() < _SQ_MIN:
         bad = sq < _SQ_MIN

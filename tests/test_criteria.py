@@ -9,6 +9,7 @@ from reference import (
     bell_diagonal,
     bisect_one_point,
     chsh_by_signed_sums,
+    correlation_value,
     frobenius_sum,
     random_rotation_pair,
     sphere_integral,
@@ -162,6 +163,19 @@ class TestChsh:
         rep = chsh_complete_set(t_opt, (1, 2))
         assert abs(rep.values[0] - 2.0 * math.sqrt(2.0)) <= 1e-12
         assert not rep.satisfied
+
+    def test_optimal_settings_violate_where_the_criterion_holds(self):
+        # x and z against (x +- z)/sqrt(2) reach Horodecki's maximum 2 sqrt(s1^2 + s2^2)
+        # (Phys. Lett. A 200, 340 (1995)), 2 sqrt(2) V: above 2 from V = 1/sqrt(2), below 3/4 too
+        rho = make_werner(0.72)
+        x, z = np.eye(3)[0], np.eye(3)[2]
+        b, b2 = (x + z) / math.sqrt(2.0), (x - z) / math.sqrt(2.0)
+        e = [correlation_value(rho, n1, n2) for n1, n2 in ((x, b), (x, b2), (z, b), (z, b2))]
+        chsh = abs(e[0] + e[1] + e[2] - e[3])
+        s = np.linalg.svd(compute_tensor(rho), compute_uv=False)
+        assert abs(chsh - 2.0 * math.hypot(s[0], s[1])) <= 1e-9
+        assert abs(chsh - 2.0365) <= 5e-5 and chsh > 2.0
+        assert not evaluate_ri_criterion(compute_tensor(rho)).violated
 
     def test_rejects_bad_plane(self):
         with pytest.raises(DomainError, match="plane"):

@@ -429,9 +429,11 @@ def _threads_settle_to(count: int) -> bool:
 class TestThreads:
     """``estimate_correlation`` runs a helper thread inside the call and nowhere else."""
 
-    def test_no_thread_outlives_a_call(self):
+    # n = 1000 is one chunk: the helper may find none left to take
+    @pytest.mark.parametrize("n", [1000, 10**6])
+    def test_no_thread_outlives_a_call(self, n):
         before, os_before = threading.active_count(), _os_threads()
-        estimate_correlation(build_model(0.75), 2, 3, 10**6, seed=1)
+        estimate_correlation(build_model(0.75), 2, 3, n, seed=1)
         assert threading.active_count() == before
         assert _threads_settle_to(os_before)
 
@@ -460,15 +462,6 @@ class TestThreads:
         assert threading.active_count() == before
         assert _threads_settle_to(os_before)
         assert len(calls) == 2 and caller in calls
-
-    def test_one_leaf_starts_no_thread(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a thread was started")
-
-        monkeypatch.setattr(bellri.lhv._thread, "start_new_thread", refuse)
-        model = build_model(0.3)
-        est = estimate_correlation(model, 2, 3, _LEAF, seed=2)
-        assert (est.mean, est.std_error) == reference_estimate(model, 2, 3, _LEAF, 2)
 
     def test_two_callers_at_once_get_the_serial_bits(self):
         # two callers and their helpers are four threads on the GIL, switched
@@ -597,6 +590,25 @@ class TestConsistencyVerdict:
 
     def test_strictly_negative_margin_inside_interval(self):
         assert consistency_verdict(0.5).criterion_margin < 0.0
+
+    @pytest.mark.parametrize("v", [0.5, 0.6, 0.9, 1.0])
+    def test_the_models_own_correlations_get_the_verdict(self, v):
+        # the model's nine seeded estimates make a sampled tensor T + dT. T's singular
+        # values are equal, so T_max has no gradient there; Weyl's inequality gives
+        # |dT_max| <= ||dT||_F, so the margin moves by at most
+        # (2 ||T||_F + ||dT||_F + 2.25) ||dT||_F, with ||dT||_F at 5 standard errors per entry
+        model = build_model(v)
+        est = [[estimate_correlation(model, i, j, 10**5, seed=3 * i + j) for j in (1, 2, 3)]
+               for i in (1, 2, 3)]
+        sampled = evaluate_ri_criterion([[e.mean for e in row] for row in est])
+        verdict = consistency_verdict(v)
+        d = 5.0 * math.sqrt(sum(e.std_error**2 for row in est for e in row))
+        bound = (2.0 * math.sqrt(3.0) * v + d + 2.25) * d  # ||T||_F = sqrt(3) v
+        assert abs(verdict.criterion_margin) > bound
+        assert abs(sampled.margin - verdict.criterion_margin) <= bound
+        assert sampled.violated == (not verdict.consistent)
+        if v == 1.0:  # every matched-axis product is -1
+            assert [est[k][k].std_error for k in range(3)] == [0.0, 0.0, 0.0]
 
     def test_equivalent_to_criterion_across_sweep(self):
         for v in np.linspace(0.0, 1.0, 101):
