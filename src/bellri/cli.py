@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -20,7 +19,6 @@ from typing import Any, Callable, NamedTuple, Optional
 from . import criteria, lhv, states, tensor
 from .errors import DomainError
 
-CONFIG_ENV_VAR = "BELLRI_CONFIG"
 STDOUT_MARKER = "-"
 
 EXIT_OK = 0
@@ -92,8 +90,7 @@ def load_config(path: str) -> RunConfig:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    cfg = load_config(path) if path else RunConfig()
+    cfg = load_config(args.config) if args.config else RunConfig()
     # a flag a subcommand lacks, or leaves unset, keeps the config value
     given = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     return replace(cfg, **{k: x for k, x in given.items() if x is not None})
@@ -225,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     a ``cmd_*`` function after that first call has no effect.
     """
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help=f"config file (default: ${CONFIG_ENV_VAR})")
+    common.add_argument("--config", help="config file")
     common.add_argument("--format", help="output format: json or csv")
     common.add_argument("--output", help="output path, or - for stdout")
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .criteria import _criterion
 from .errors import DomainError
-from .states import _real, _werner, _whole, require_visibility
+from .states import _real, _werner, _whole
 from .tensor import _pauli_expectations, validate_rotation
 
 CONSISTENT = "consistent-at-this-visibility"
@@ -59,7 +59,7 @@ class LhvTwoSettingModel:
     def __post_init__(self) -> None:
         # every model is checked and keeps read-only copies of its frames,
         # which the caller's arrays cannot change afterwards
-        object.__setattr__(self, "v", require_visibility(self.v))
+        object.__setattr__(self, "v", _real(self.v, "visibility", 0, 1))
         for name, r in (("r1", self.r1), ("r2", self.r2)):
             frame = np.eye(3) if r is None else np.array(validate_rotation(r))
             frame.flags.writeable = False

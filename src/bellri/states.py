@@ -79,11 +79,6 @@ def _tolerance(x: Any, name: str) -> float:
     return tol
 
 
-def require_visibility(v: float) -> float:
-    """Check that ``v`` is a valid visibility (mixing weight) in [0, 1]."""
-    return _real(v, "visibility", 0, 1)
-
-
 def _as_array(x: Any, dtype: type, what: str) -> np.ndarray:
     """``x`` as a ``dtype`` array.
 
@@ -165,7 +160,7 @@ def _werner(v: Any) -> np.ndarray:
 
 def make_werner(v: float) -> np.ndarray:
     """Noisy singlet ``v * |psi><psi| + (1 - v) * I/4`` for visibility ``v``."""
-    return _werner(require_visibility(v))
+    return _werner(_real(v, "visibility", 0, 1))
 
 
 def require_unitary(u: Any) -> np.ndarray:

@@ -24,7 +24,7 @@ from bellri import (
 )
 from bellri.cli import _csv
 from bellri.lhv import LhvTwoSettingModel, _axis_streams
-from bellri.states import PAULIS, _finite_array, _real, require_unitary, require_visibility
+from bellri.states import PAULIS, _finite_array, _real, require_unitary
 from bellri.tensor import as_tensor
 
 UNIT_NORM_TOL = 1e-12
@@ -105,6 +105,16 @@ def check_uu_invariance(rho: Any, u: Any, tol: float) -> bool:
     big = np.kron(uu, uu)
     delta = float(np.max(np.abs(big.conj().T @ m @ big - m)))
     return delta <= tol
+
+
+def partial_transpose(rho: Any) -> np.ndarray:
+    """``rho`` with the second observer's indices transposed (Peres' test).
+
+    The entry at row ``(a, b)`` and column ``(c, d)`` moves to row ``(a, d)``
+    and column ``(c, b)``, in the product basis of :mod:`bellri.states`.
+    """
+    m = validate_density_matrix(rho)
+    return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
 # tensors
@@ -349,7 +359,7 @@ def piecewise_correlation(v: float, n1: Any, n2: Any) -> Optional[float]:
     ``-v`` at equal directions, ``0`` at orthogonal ones, None elsewhere:
     between those cases the family of rotated models places no constraint.
     """
-    v = require_visibility(v)
+    v = _real(v, "visibility", 0, 1)
     u1 = unit_vector(n1)
     u2 = unit_vector(n2)
     if float(np.linalg.norm(u1 - u2)) <= AXIS_MATCH_TOL:

@@ -434,12 +434,15 @@ class TestConfigAndDeterminism:
         code, out, _ = run(capsys, "tensor", "--state", "werner:0.5", "--config", str(cfg))
         assert out.startswith("T11,")
 
-    def test_env_var_config(self, tmp_path, capsys, monkeypatch):
+    def test_environment_does_not_configure(self, tmp_path, capsys, monkeypatch):
+        # only --config names a config file: a variable naming one changes no byte
         cfg = tmp_path / "run.cfg"
         cfg.write_text("format=csv\n")
+        argv = ["tensor", "--state", "werner:0.5"]
+        plain = run(capsys, *argv)
         monkeypatch.setenv("BELLRI_CONFIG", str(cfg))
-        code, out, _ = run(capsys, "tensor", "--state", "werner:0.5")
-        assert out.startswith("T11,")
+        assert run(capsys, *argv) == plain
+        assert plain[0] == 0 and json.loads(plain[1])
 
     def test_flag_overrides_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -818,22 +821,29 @@ class TestParserCache:
 
 class TestEntrypoint:
     @staticmethod
-    def module_run(*argv):
+    def module_run(*argv, **extra_env):
         src = str(Path(bellri.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        env.pop("BELLRI_CONFIG", None)
+        env = dict(os.environ, PYTHONPATH=path, **extra_env)
         return subprocess.run(
             [sys.executable, "-m", "bellri.cli", *argv], env=env, capture_output=True, text=True
         )
 
-    def test_module_matches_main(self, capsys, monkeypatch):
-        monkeypatch.delenv("BELLRI_CONFIG", raising=False)
+    def test_module_matches_main(self, capsys):
         argv = ["criterion", "--state", "werner:0.8"]
         proc = self.module_run(*argv)
         code, out, err = run(capsys, *argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, err)
         assert code == 0
+
+    def test_module_ignores_the_environment(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format=csv\n")
+        argv = ["tensor", "--state", "werner:0.5"]
+        proc = self.module_run(*argv, BELLRI_CONFIG=str(cfg))
+        code, out, err = run(capsys, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+        assert code == 0 and json.loads(out)
 
     def test_module_bad_state_exits_2(self):
         proc = self.module_run("tensor", "--state", "bogus")

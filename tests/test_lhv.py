@@ -16,6 +16,7 @@ from reference import (
     model_correlation,
     piecewise_correlation,
     random_rotation,
+    random_unitary_2x2,
     sample,
 )
 
@@ -49,7 +50,7 @@ from bellri.lhv import (
     sweep_margins,
 )
 from bellri.states import make_singlet, maximally_mixed
-from bellri.tensor import _pauli_expectations
+from bellri.tensor import _pauli_expectations, rotate_tensor, rotation_from_unitary
 
 AXES = np.eye(3)
 # the two ways to make a model, which must run the same checks
@@ -592,17 +593,29 @@ class TestConsistencyVerdict:
         assert consistency_verdict(0.5).criterion_margin < 0.0
 
     @pytest.mark.parametrize("v", [0.5, 0.6, 0.9, 1.0])
-    def test_the_models_own_correlations_get_the_verdict(self, v):
-        # the model's nine seeded estimates make a sampled tensor T + dT. T's singular
-        # values are equal, so T_max has no gradient there; Weyl's inequality gives
-        # |dT_max| <= ||dT||_F, so the margin moves by at most
-        # (2 ||T||_F + ||dT||_F + 2.25) ||dT||_F, with ||dT||_F at 5 standard errors per entry
-        model = build_model(v)
+    @pytest.mark.parametrize(
+        "u1, u2",
+        [(np.eye(2), np.eye(2)), (random_unitary_2x2(41), random_unitary_2x2(42))],
+        ids=["identity", "rotated"],
+    )
+    def test_the_models_own_correlations_get_the_verdict(self, v, u1, u2):
+        # the model's nine seeded estimates in its frames R1, R2, carried to the lab by
+        # rotate_tensor, make a sampled tensor T + dT of the state (U1 (x) U2) W(v)
+        # (U1 (x) U2)^dag. T's singular values are equal, so T_max has no gradient
+        # there; Weyl's inequality gives |dT_max| <= ||dT||_F, so the margin moves by
+        # at most (2 ||T||_F + ||dT||_F + 2.25) ||dT||_F, with ||dT||_F at 5 standard
+        # errors per entry, a bound the rotations keep as they keep the Frobenius norm
+        r1, r2 = rotation_from_unitary(u1), rotation_from_unitary(u2)
+        model = build_model(v, r1, r2)
         est = [[estimate_correlation(model, i, j, 10**5, seed=3 * i + j) for j in (1, 2, 3)]
                for i in (1, 2, 3)]
-        sampled = evaluate_ri_criterion([[e.mean for e in row] for row in est])
-        verdict = consistency_verdict(v)
+        t_sampled = rotate_tensor([[e.mean for e in row] for row in est], r1, r2)
+        u = np.kron(u1, u2)
+        t_exact = compute_tensor(u @ make_werner(v) @ u.conj().T)
         d = 5.0 * math.sqrt(sum(e.std_error**2 for row in est for e in row))
+        assert np.linalg.norm(t_sampled - t_exact) <= d
+        sampled = evaluate_ri_criterion(t_sampled)
+        verdict = consistency_verdict(v)
         bound = (2.0 * math.sqrt(3.0) * v + d + 2.25) * d  # ||T||_F = sqrt(3) v
         assert abs(verdict.criterion_margin) > bound
         assert abs(sampled.margin - verdict.criterion_margin) <= bound

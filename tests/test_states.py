@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import random_density_matrix
-from reference import check_uu_invariance, random_unitary_2x2, unit_vector
+from reference import check_uu_invariance, partial_transpose, random_unitary_2x2, unit_vector
 
 import bellri.states
 from bellri import (
@@ -55,6 +55,13 @@ class TestWerner:
         # (1 + 3v)/4 on the singlet, (1 - v)/4 threefold: frozen at v = 0.5
         evals = np.sort(np.linalg.eigvalsh(make_werner(0.5)))
         assert np.allclose(evals, [0.125, 0.125, 0.125, 0.625], atol=1e-14)
+
+    @pytest.mark.parametrize("v", [0.0, 0.2, 1.0 / 3.0, 0.5, 1.0])
+    def test_partial_transpose_turns_negative_above_one_third(self, v):
+        # Peres-Horodecki: the noisy singlet is entangled iff its partial transpose
+        # has a negative eigenvalue; the lowest is (1 - 3v)/4, negative above v = 1/3
+        lowest = np.linalg.eigvalsh(partial_transpose(make_werner(v)))[0]
+        assert abs(lowest - (1.0 - 3.0 * v) / 4.0) <= 1e-12
 
     @pytest.mark.parametrize(
         "v", [-0.1, 1.1, math.nan, None, "x", 1j, pytest.param(10**400, id="huge-int")]
