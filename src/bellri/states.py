@@ -153,9 +153,17 @@ def maximally_mixed() -> np.ndarray:
     return np.eye(4, dtype=complex) / 4.0
 
 
+# the two endpoints of every noisy singlet, built once and read-only
+_SINGLET = make_singlet()
+_MIXED = maximally_mixed()
+_SINGLET.flags.writeable = _MIXED.flags.writeable = False
+
+
 def _werner(v: Any) -> np.ndarray:
     """``v * |psi><psi| + (1 - v) * I/4``, unchecked, for a float ``v`` or a ``(k, 1, 1)`` stack."""
-    return v * make_singlet() + (1.0 - v) * maximally_mixed()
+    m = v * _SINGLET
+    m += (1.0 - v) * _MIXED  # the bits of the sum, in the first product's memory
+    return m
 
 
 def make_werner(v: float) -> np.ndarray:

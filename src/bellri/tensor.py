@@ -123,7 +123,9 @@ def _top_singular(t: np.ndarray, sq: Any) -> Any:
         if sq < _SQ_MIN:
             return _top_singular(t[None], np.reshape(sq, 1))[0]
     elif not np.count_nonzero(t.reshape(-1, 9)[:, _OFF_DIAGONAL]):
-        return abs(np.diagonal(t, axis1=-2, axis2=-1)).max(axis=-1)
+        # the largest |T_ii| as the elementwise maximum of the three diagonal columns,
+        # which costs less than a reduction over each tensor's 3 or 9 entries
+        return np.maximum(np.maximum(abs(t[..., 0, 0]), abs(t[..., 1, 1])), abs(t[..., 2, 2]))
     elif sq.min() < _SQ_MIN:
         bad = sq < _SQ_MIN
         sub = t[bad]

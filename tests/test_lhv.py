@@ -22,6 +22,7 @@ from reference import (
 
 import bellri
 from bellri import (
+    ConsistencyVerdict,
     DomainError,
     McEstimate,
     build_model,
@@ -655,6 +656,17 @@ def assert_matches_per_point(verdicts):
         assert ver.consistent == (not rep.violated)
 
 
+def assert_bits_of_one_stacked_call(ends, steps):
+    grid = np.linspace(*ends, steps)[:, None, None]
+    rhos = grid * make_singlet() + (1.0 - grid) * maximally_mixed()
+    lhs, rhs, violated = _criterion(_pauli_expectations(rhos))
+    vs, margins, flags = sweep_margins(*ends, steps)
+    assert vs == grid.ravel().tolist()
+    assert margins == (lhs - rhs).tolist()
+    assert np.signbit(margins).tolist() == np.signbit(lhs - rhs).tolist()
+    assert flags == violated.tolist()
+
+
 class TestVerdictSweep:
     @pytest.mark.parametrize("steps", [101, 1001, 1005, 1009, 10001])
     def test_batch_bit_identical_to_per_point(self, steps):
@@ -675,22 +687,36 @@ class TestVerdictSweep:
         assert len(verdicts) == steps and verdicts[0].v == ends[0]
         assert_matches_per_point(verdicts)
 
-    @pytest.mark.parametrize("steps", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    @pytest.mark.parametrize(
+        "steps",
+        [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1],
+        ids=["chunk-1", "chunk", "chunk+1", "2chunk+1"],
+    )
     @pytest.mark.parametrize("ends", [(0.0, 1.0), (0.7, 0.8), (0.3, 0.3)])
     def test_chunks_keep_the_bits_of_one_stacked_call(self, ends, steps):
-        grid = np.linspace(*ends, steps)[:, None, None]
-        rhos = grid * make_singlet() + (1.0 - grid) * maximally_mixed()
-        lhs, rhs, violated = _criterion(_pauli_expectations(rhos))
-        vs, margins, flags = sweep_margins(*ends, steps)
-        assert vs == grid.ravel().tolist()
-        assert margins == (lhs - rhs).tolist()
-        assert np.signbit(margins).tolist() == np.signbit(lhs - rhs).tolist()
-        assert flags == violated.tolist()
+        assert_bits_of_one_stacked_call(ends, steps)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 256, 512, 1024])
+    @pytest.mark.parametrize("ends, steps", [((0.0, 1.0), 1005), ((0.7, 0.8), 2049)])
+    def test_any_chunk_size_keeps_the_bits_of_one_stacked_call(self, monkeypatch, chunk, ends, steps):
+        monkeypatch.setattr(bellri.lhv, "_CHUNK", chunk)
+        assert_bits_of_one_stacked_call(ends, steps)
+
+    def test_records_are_the_named_tuple_with_typed_fields(self):
+        # the records are built by tuple.__new__, which checks neither type nor length
+        fields = ["v", "criterion_margin", "consistent", "explanation_code"]
+        for record in verdict_sweep(0, 1, 1005):
+            assert type(record) is ConsistencyVerdict
+            assert type(record.v) is float and type(record.criterion_margin) is float
+            assert type(record.consistent) is bool
+            assert record.explanation_code is (CONSISTENT if record.consistent else RI_VIOLATED)
+            assert list(record._asdict()) == fields
 
     @pytest.mark.parametrize("steps", [10001, 40001])
     def test_peak_memory_is_the_lists_plus_one_chunk(self, steps):
-        # the grid and the three lists take ~70 B per point, and one chunk's
-        # stacked states and temporaries ~0.8 MB at any size; the whole grid
+        # the grid and the three lists take ~70 B per point, and one chunk of
+        # 256 points peaks at ~0.26 MB (its states, the second product and
+        # numpy's casting buffers, 64 KiB each) at any size; the whole grid
         # stacked at once took ~540 B per point
         tracemalloc.start()
         try:
@@ -698,7 +724,7 @@ class TestVerdictSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 100 * steps + (1 << 20)
+        assert peak <= 100 * steps + (3 << 17)
 
     def test_validates_neither_endpoint(self, monkeypatch):
         # the sweep mixes its states with states._werner, valid by construction, and validates none

@@ -82,6 +82,28 @@ class TestWerner:
             assert np.max(np.abs(direct - mixed)) <= 1e-15
 
 
+class TestEndpoints:
+    """The singlet and white noise that every noisy singlet mixes."""
+
+    def test_module_constants_are_read_only(self):
+        for m in (bellri.states._SINGLET, bellri.states._MIXED):
+            assert not m.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 1.0
+
+    def test_builders_return_fresh_writable_arrays(self):
+        want = make_werner(0.3)
+        for build in (make_singlet, maximally_mixed, lambda: make_werner(0.3)):
+            m = build()
+            assert m.flags.writeable and not np.shares_memory(m, build())
+            m[...] = 7.0
+        assert make_werner(0.3).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("v", [0.0, 0.3, 0.75, 1.0 / 3.0, 1.0])
+    def test_werner_has_the_bits_of_the_two_products_summed(self, v):
+        assert make_werner(v).tobytes() == (v * make_singlet() + (1.0 - v) * maximally_mixed()).tobytes()
+
+
 class TestValidation:
     def test_rejects_wrong_shape(self):
         with pytest.raises(DomainError):

@@ -43,6 +43,7 @@ from bellri import (
 from bellri.criteria import _criterion
 from bellri.states import HERMITICITY_TOL, UNITARITY_TOL, require_unitary
 from bellri.tensor import (
+    _OFF_DIAGONAL,
     ROTATION_TOL,
     _SQ_MIN,
     TENSOR_BOUND,
@@ -464,6 +465,19 @@ class TestTopSingular:
         assert np.array_equal(top, want)
         assert np.array_equal(np.signbit(top), np.signbit(want))
         assert top.tolist() == [tensor_max_svd(t) for t in ts]
+
+    def test_diagonal_stack_has_the_bits_of_its_largest_diagonal_entry(self):
+        # the branch takes the elementwise maximum of the three diagonal columns:
+        # the bits of each tensor's own reduction, for zero tensors, -0.0 entries on
+        # and off the diagonal, and subnormal and 2^240 entries too
+        ts = diagonal_stack(np.random.default_rng(37))
+        signed_zeros = ts[:40].copy()
+        signed_zeros.reshape(-1, 9)[:, _OFF_DIAGONAL] = -0.0
+        for stack in (ts, signed_zeros, np.zeros((5, 3, 3)), -np.zeros((5, 3, 3))):
+            top = _top_singular(stack, squared_sums(stack))
+            want = abs(np.diagonal(stack, axis1=-2, axis2=-1)).max(axis=-1)
+            assert np.array_equal(top, want)
+            assert np.array_equal(np.signbit(top), np.signbit(want))
 
     @pytest.mark.parametrize("where", [(0, 1), (2, 0)])
     def test_one_tiny_off_diagonal_entry_takes_the_eigvalsh_route(self, monkeypatch, where):
