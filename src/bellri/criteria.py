@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .tensor import _top_singular, as_tensor, compute_tensor
 CRITERION_FACTOR = 2.25  # (3/2)^2 = (2pi / (4pi/3))^2, see the thresholds below
 CHSH_BOUND = 2.0
 EQUALITY_SLACK = 1e-12
-_DEPTH = 4  # bisection levels judged per stacked criterion call
 # (E, E) per unit of sum T^2: the solid-angle integral of (n . m)^2 per sphere is 4pi/3
 _EE_FACTOR = (4.0 * math.pi / 3.0) ** 2
 
@@ -140,30 +139,39 @@ def chsh_complete_set(t: Any, plane: tuple[int, int]) -> ChshReport:
     )
 
 
-def _midpoints(lo: float, hi: float) -> list[float]:
-    """Midpoints the next ``_DEPTH`` steps can visit, in heap order (k halves into 2k+1, 2k+2)."""
-    los, his, mids = [lo], [hi], []
-    for k in range(2**_DEPTH - 1):
-        mids.append(0.5 * (los[k] + his[k]))
-        los += (los[k], mids[k])
-        his += (mids[k], his[k])
-    return mids
-
-
-def _bisect(violated: Callable, lo: float, hi: float, tol: float, flags: list) -> float:
-    """Bisect ``[lo, hi]`` to ``tol``, walking ``flags``, those of ``_midpoints(lo, hi)``."""
-    k = 0
+def _path(lo: float, hi: float, tol: float, est: float) -> list[float]:
+    """Midpoints the bisection of ``[lo, hi]`` to ``tol`` visits if the crossing is at ``est``."""
+    mids = []
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # lo and hi are adjacent doubles; no narrower bracket exists
-        if k >= len(flags):  # one stacked call flags every midpoint of the next _DEPTH steps
-            flags, k = violated(_midpoints(lo, hi)), 0
-        if flags[k]:
-            hi, k = mid, 2 * k + 1
+        mids.append(mid)
+        if est < mid:
+            hi = mid
         else:
-            lo, k = mid, 2 * k + 2
-    return 0.5 * (lo + hi)
+            lo = mid
+    return mids
+
+
+def _crossing(lo: float, hi: float, far: float, gaps: dict) -> float:
+    """Where the parabola through the margins at ``lo``, ``hi`` and ``far`` crosses zero in ``[lo, hi]``.
+
+    The margin is <= 0 at ``lo`` and > 0 at ``hi``, so the parabola rises through zero once
+    between them; the straight line through those two is the fallback when rounding hides it.
+    Near the noisy singlet's crossing the margin is quadratic in ``v``, so the guess is exact
+    to rounding and the walk takes two stacked calls at tol 1e-12.
+    """
+    g_lo, g_hi, g_far = gaps[lo], gaps[hi], gaps[far]
+    slope = (g_hi - g_lo) / (hi - lo)
+    curve = ((g_far - g_lo) / (far - lo) - slope) / (far - hi)
+    # with t = v - lo the parabola is g_lo + b*t + curve*t^2, rising through zero at
+    # t = -2 g_lo / (b + sqrt(b^2 - 4 curve g_lo))
+    b = slope - curve * (hi - lo)
+    den = b + math.sqrt(max(b * b - 4.0 * curve * g_lo, 0.0))
+    if den > 0.0:
+        return lo - 2.0 * g_lo / den
+    return lo + (hi - lo) * g_lo / (g_lo - g_hi)
 
 
 def critical_visibility(pure_state: Any, noise: Any, tol: float) -> Optional[float]:
@@ -179,22 +187,39 @@ def critical_visibility(pure_state: Any, noise: Any, tol: float) -> Optional[flo
 
     The tensor is linear in the state, so the mixture's tensor is the same
     mixture ``v*T_pure + (1-v)*T_noise`` of the endpoint tensors; each
-    endpoint is validated once. Each stacked criterion call judges every midpoint
-    of the next ``_DEPTH`` steps: the same points and bits as one point per step.
+    endpoint is validated once. The first stacked criterion call judges
+    ``j/16`` for ``j = 0..16``; each later one judges the midpoints the walk
+    would visit down to ``tol`` if the crossing lay at :func:`_crossing`'s
+    guess. That path starts at the walk's current midpoint, so each call
+    advances the walk at least one level, and the walk visits the same
+    midpoints, with the same bits, as a bisection judging one point per step.
     """
     tol = _tolerance(tol, "tolerance")
     t_pure, t_noise = compute_tensor(pure_state), compute_tensor(noise)
+    gaps = {}  # lhs - (rhs + EQUALITY_SLACK) per judged visibility: > 0 exactly where violated
 
-    def violated(vs: list[float]) -> list[bool]:
+    def judge(vs: list[float]) -> None:
         v = np.array(vs)[:, None, None]
-        return _criterion(v * t_pure + (1.0 - v) * t_noise)[2].tolist()
+        lhs, rhs, _ = _criterion(v * t_pure + (1.0 - v) * t_noise)
+        gaps.update(zip(vs, (lhs - (rhs + EQUALITY_SLACK)).tolist()))
 
-    at_zero, at_one, *flags = violated([0.0, 1.0, *_midpoints(0.0, 1.0)])
-    if at_zero:
+    judge([j / 16 for j in range(17)])
+    if gaps[0.0] > 0:
         raise DomainError("criterion is already violated at zero visibility")
-    if not at_one:
+    if not gaps[1.0] > 0:
         return None
-    return _bisect(violated, 0.0, 1.0, tol, flags)
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent doubles; no narrower bracket exists
+        if mid not in gaps:  # never at 0.5, so far is set by then
+            judge(_path(lo, hi, tol, _crossing(lo, hi, far, gaps)))
+        if gaps[mid] > 0:
+            far, hi = hi, mid
+        else:
+            far, lo = lo, mid
+    return 0.5 * (lo + hi)
 
 
 def inner_product_ee(t: Any) -> float:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from conftest import count_eigvalsh, random_density_matrix, random_tensor, random_unit_vector
-from hypothesis import given
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from reference import (
     bell_diagonal,
@@ -33,7 +33,6 @@ from bellri import (
     verdict_sweep,
 )
 from bellri.criteria import (
-    _DEPTH,
     COMPARISON_THRESHOLDS,
     CRITERION_FACTOR,
     PRIOR_TWO_SETTING_THRESHOLD,
@@ -306,14 +305,31 @@ class TestCriticalVisibility:
         assert critical_visibility(maximally_mixed(), maximally_mixed(), 1e-9) is None
 
     def test_coarse_tolerance_and_step_count(self, monkeypatch):
-        stacks = count_criterion_stacks(monkeypatch)
+        # the midpoints of the one-point walk, in the order it visits them
+        t_singlet = compute_tensor(make_singlet())
+        lo, hi, walk = 0.0, 1.0, []
+        while hi - lo > 1e-3:
+            walk.append(0.5 * (lo + hi))
+            if evaluate_ri_criterion(walk[-1] * t_singlet).violated:
+                hi = walk[-1]
+            else:
+                lo = walk[-1]
+        stacks = []
+        original = bellri.criteria._criterion
+
+        def recording(t):
+            stacks.append((-t[:, 0, 0]).tolist())  # v * T_singlet + (1 - v) * 0 = -v * I
+            return original(t)
+
+        monkeypatch.setattr(bellri.criteria, "_criterion", recording)
         v = critical_visibility(make_singlet(), maximally_mixed(), 1e-3)
         assert abs(v - 0.75) <= 1e-3
-        # ceil(log2(1/tol)) = 10 bisection levels, _DEPTH per stacked call; the
-        # first call also holds the two endpoint probes
-        assert len(stacks) <= 2 + math.ceil(10 / _DEPTH)
-        assert stacks[0] == 2 + 2**_DEPTH - 1
-        assert all(n == 2**_DEPTH - 1 for n in stacks[1:])
+        assert stacks[0] == [j / 16 for j in range(17)]
+        # each later stack starts at the first midpoint of the walk not yet judged
+        for k, stack in enumerate(stacks[1:], 1):
+            judged = set().union(*stacks[:k])
+            assert stack[0] == next(m for m in walk if m not in judged)
+        assert len(stacks) <= 2
 
     def test_validates_each_endpoint_once(self, monkeypatch):
         calls = {"n": 0}
@@ -330,7 +346,7 @@ class TestCriticalVisibility:
     def test_tolerance_below_double_spacing_terminates(self, monkeypatch):
         # near 0.75 adjacent doubles are 2^-53 apart, so a 1e-300 bracket is
         # unreachable; the bisection must stop at two adjacent doubles
-        stacks = count_criterion_stacks(monkeypatch, limit=2 + math.ceil(64 / _DEPTH))
+        stacks = count_criterion_stacks(monkeypatch, limit=16)
         t_pure = compute_tensor(make_singlet())
         t_noise = compute_tensor(maximally_mixed())
 
@@ -415,6 +431,21 @@ def endpoint_pairs():
     return pairs + [(F_PURE, F_NOISE)]
 
 
+# the corners of the Bell-diagonal states' tetrahedron of tensor diagonals
+TETRAHEDRON = np.array([(-1.0, -1.0, -1.0), (-1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, -1.0)])
+
+
+def drawn_endpoints():
+    """Random pure states, random mixed states and Bell-diagonal points of the tetrahedron."""
+    rngs = st.integers(0, 2**32 - 1).map(np.random.default_rng)
+    weights = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda w: sum(w) > 0.0)
+    return st.one_of(
+        rngs.map(random_pure),
+        rngs.map(random_mixed),
+        weights.map(lambda w: bell_diagonal(np.array(w) @ TETRAHEDRON / sum(w))),
+    )
+
+
 def outcome(bisect, pure, noise, tol):
     try:
         return bisect(pure, noise, tol)
@@ -428,9 +459,9 @@ class TestBisectionMatchesTheOnePointOracle:
     @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6, 1e-3, 0.3, 1e-300, 5e-324])
     def test_same_float_or_same_error(self, monkeypatch, tol):
         wants = [outcome(bisect_one_point, pure, noise, tol) for pure, noise in self.PAIRS]
-        # a bisection on [0, 1] halves its bracket at most 1075 times (the
-        # doubles down to 2^-1074), so more stacked calls mean it does not end
-        stacks = count_criterion_stacks(monkeypatch, limit=2 + math.ceil(1075 / _DEPTH))
+        # each stacked call advances the walk at least one level and these pairs
+        # take at most 6 calls, so 16 means a guess has gone badly wrong
+        stacks = count_criterion_stacks(monkeypatch, limit=16)
         kinds = set()
         for (pure, noise), want in zip(self.PAIRS, wants):
             stacks.clear()
@@ -439,6 +470,17 @@ class TestBisectionMatchesTheOnePointOracle:
             kinds.add(type(got))
         # the pairs reach every exit: a threshold, no violation, violated at zero
         assert kinds == {float, type(None), str}
+
+    @seed(2007)
+    @settings(max_examples=150, deadline=None)
+    @given(drawn_endpoints(), drawn_endpoints(), st.floats(-1074.0, -1.0))
+    def test_same_outcome_on_drawn_endpoints(self, pure, noise, log2_tol):
+        tol = max(2.0**log2_tol, 5e-324)  # log-uniform on [5e-324, 0.5]
+        want = outcome(bisect_one_point, pure, noise, tol)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            count_criterion_stacks(monkeypatch, limit=16)
+            got = outcome(critical_visibility, pure, noise, tol)
+        assert type(got) is type(want) and got == want
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-300])
     def test_violation_only_inside_the_segment_is_missed_by_both(self, tol):
@@ -462,7 +504,7 @@ class TestStackedCriterion:
         ])
         alone = [np.array(side) for side in zip(*(_criterion(t) for t in stack))]
         assert any(alone[2]) and not all(alone[2])
-        for size in (len(stack), 2 + 2**_DEPTH - 1, 2**_DEPTH - 1):
+        for size in (len(stack), 17, *range(1, 65)):
             for start in range(0, len(stack), size):
                 part = slice(start, start + size)
                 for got, want in zip(_criterion(stack[part]), alone):
