@@ -144,8 +144,6 @@ def _path(lo: float, hi: float, tol: float, est: float) -> list[float]:
     mids = []
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # lo and hi are adjacent doubles; no narrower bracket exists
         mids.append(mid)
         if est < mid:
             hi = mid
@@ -175,24 +173,22 @@ def _crossing(lo: float, hi: float, far: float, gaps: dict) -> float:
 
 
 def critical_visibility(pure_state: Any, noise: Any, tol: float) -> Optional[float]:
-    """Visibility where ``v*pure + (1-v)*noise`` starts violating the criterion.
+    """Lowest visibility where ``v*pure + (1-v)*noise`` violates the criterion, to ``tol``.
 
-    Bisects the satisfied/violated transition on [0, 1] to within ``tol`` (or
-    to two adjacent doubles, when ``tol`` is finer than their spacing) and
-    returns the transition visibility, or None when ``v = 1`` does not
-    violate. Both assume a single crossing: the margin changes sign at most
-    once on [0, 1], as for mixtures whose noise tensor vanishes (there it is
-    ``a*v^2 - b*v``). A mixture that violates only inside (0, 1) breaks this
-    assumption and also returns None.
+    Takes the lowest violating ``j/16`` (``j = 0..16``), bisects ``[(j-1)/16, j/16]``
+    until it is at most ``tol`` wide and returns its midpoint; None when no ``j/16``
+    violates. With ``tol >= 2^-52`` each midpoint lies strictly inside its bracket.
+    The margin can change sign several times on [0, 1], and a violated stretch of
+    the segment that contains no ``j/16`` is missed.
 
     The tensor is linear in the state, so the mixture's tensor is the same
     mixture ``v*T_pure + (1-v)*T_noise`` of the endpoint tensors; each
-    endpoint is validated once. The first stacked criterion call judges
-    ``j/16`` for ``j = 0..16``; each later one judges the midpoints the walk
-    would visit down to ``tol`` if the crossing lay at :func:`_crossing`'s
-    guess. That path starts at the walk's current midpoint, so each call
-    advances the walk at least one level, and the walk visits the same
-    midpoints, with the same bits, as a bisection judging one point per step.
+    endpoint is validated once. The first stacked criterion call judges the
+    grid; each later one judges the midpoints the walk would visit down to
+    ``tol`` if the crossing lay at :func:`_crossing`'s guess. That path starts
+    at the walk's current midpoint, so each call advances the walk at least
+    one level, and the walk visits the same midpoints, with the same bits, as
+    a bisection judging one point per step.
     """
     tol = _tolerance(tol, "tolerance")
     t_pure, t_noise = compute_tensor(pure_state), compute_tensor(noise)
@@ -206,14 +202,14 @@ def critical_visibility(pure_state: Any, noise: Any, tol: float) -> Optional[flo
     judge([j / 16 for j in range(17)])
     if gaps[0.0] > 0:
         raise DomainError("criterion is already violated at zero visibility")
-    if not gaps[1.0] > 0:
+    j = next((j for j in range(1, 17) if gaps[j / 16] > 0), None)
+    if j is None:
         return None
-    lo, hi = 0.0, 1.0
+    # far is the third judged point of _crossing's parabola
+    lo, hi, far = (j - 1) / 16, j / 16, (j + 1 if j < 16 else j - 2) / 16
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # lo and hi are adjacent doubles; no narrower bracket exists
-        if mid not in gaps:  # never at 0.5, so far is set by then
+        if mid not in gaps:
             judge(_path(lo, hi, tol, _crossing(lo, hi, far, gaps)))
         if gaps[mid] > 0:
             far, hi = hi, mid

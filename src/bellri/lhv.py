@@ -301,6 +301,7 @@ def consistency_verdict(v: float) -> ConsistencyVerdict:
     tensor: a violation certifies that no omnidirectional model exists, so
     the two-setting copies must contradict each other.
     """
+    v = _real(v, "visibility", 0, 1)
     return verdict_sweep(v, v, 1)[0]
 
 

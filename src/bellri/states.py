@@ -72,10 +72,11 @@ def _whole(x: Any, name: str, lo: Any = None, hi: Any = None) -> int:
 
 
 def _tolerance(x: Any, name: str) -> float:
-    """``x`` as a float with ``0 < x < inf``; :class:`DomainError` naming ``name`` otherwise."""
+    """``x`` as a float with ``2^-52 <= x < inf``; :class:`DomainError` naming ``name`` otherwise."""
     tol = _real(x, name)
-    if not 0.0 < tol < math.inf:  # False for NaN as well
-        raise DomainError(f"{name} must be positive and finite, got {tol}")
+    # from 2^-52 up, every bracket in [0, 1] wider than tol has its midpoint strictly inside
+    if not sys.float_info.epsilon <= tol < math.inf:  # False for NaN as well
+        raise DomainError(f"{name} must be at least 2^-52 and finite, got {tol}")
     return tol
 
 

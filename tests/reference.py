@@ -262,13 +262,14 @@ def sphere_integral(t: Any, n_theta: int, n_phi: int) -> float:
 def bisect_one_point(pure: Any, noise: Any, tol: float) -> Optional[float]:
     """``critical_visibility`` as a bisection that judges one mixture per step.
 
-    The oracle for the library's stacked walk: the same bracket, midpoints
-    and stops, each midpoint's mixture judged alone by
-    ``evaluate_ri_criterion``. The two must agree exactly.
+    The oracle for the library's stacked walk: the lowest violating point
+    ``j/16`` of the same 17-point grid, then the same bracket, midpoints and
+    stop by width alone, each mixture judged alone by ``evaluate_ri_criterion``.
+    The two must agree exactly.
     """
     tol = _real(tol, "tolerance")
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tolerance must be positive and finite, got {tol}")
+    if not 2.0**-52 <= tol < math.inf:
+        raise DomainError(f"tolerance must be at least 2^-52 and finite, got {tol}")
     t_pure = compute_tensor(pure)
     t_noise = compute_tensor(noise)
 
@@ -277,18 +278,58 @@ def bisect_one_point(pure: Any, noise: Any, tol: float) -> Optional[float]:
 
     if violated_at(0.0):
         raise DomainError("criterion is already violated at zero visibility")
-    if not violated_at(1.0):
+    hi = next((j / 16 for j in range(1, 17) if violated_at(j / 16)), None)
+    if hi is None:
         return None
-    lo, hi = 0.0, 1.0
+    lo = hi - 1 / 16
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # lo and hi are adjacent doubles; no narrower bracket exists
         if violated_at(mid):
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+# Closed-form critical visibilities. On each segment below the tensor is diagonal and
+# its largest entry in magnitude is linear in v near the crossing, so the margin
+# g(v) = sum T^2 - 2.25 T_max is a quadratic a v^2 + b v + c there, rising through zero
+# at its upper root with slope sqrt(b^2 - 4ac). The float criterion adds EQUALITY_SLACK
+# to the right side, which moves its crossing up by about EQUALITY_SLACK / slope.
+
+
+def rising_root(a: float, b: float, c: float) -> tuple[float, float]:
+    """Upper root of ``a v^2 + b v + c`` (``a > 0``) and the quadratic's slope there."""
+    d = math.sqrt(b * b - 4.0 * a * c)
+    return (d - b) / (2.0 * a), d
+
+
+# noise -> (root, slope) for the singlet, whose tensor is -I
+SINGLET_THRESHOLDS = {
+    "white": (0.75, 2.25),  # T = -v I: 3v^2 - 2.25v
+    # T = diag(-v, -v, 1 - 2v), T_max = v above 1/3: 6v^2 - 6.25v + 1
+    "ket00": ((25.0 + math.sqrt(241.0)) / 48.0, math.sqrt(241.0) / 4.0),
+    "ket01": (math.sqrt(5.0 / 8.0), 4.0 * math.sqrt(5.0 / 8.0)),  # T = diag(-v, -v, -1): 2v^2 - 1.25
+}
+
+
+def schmidt_state(conc: float) -> np.ndarray:
+    """``cos t|00> + sin t|11>`` with concurrence ``conc = sin 2t``; its tensor is diag(C, -C, 1)."""
+    t = 0.5 * math.asin(conc)
+    psi = np.array([math.cos(t), 0.0, 0.0, math.sin(t)])
+    return np.outer(psi, psi)
+
+
+def schmidt_threshold(conc: float) -> Optional[tuple[float, float]]:
+    """Root and slope for :func:`schmidt_state` against white noise, or None when it never violates.
+
+    T = v diag(C, -C, 1) gives (1 + 2C^2) v^2 - 2.25 v, so the root is 9 / (4 (1 + 2C^2))
+    with slope 2.25. It lies in (0, 1) only for C^2 > 5/8: the criterion never flags a pure
+    state with C^2 <= 5/8.
+    """
+    if conc * conc <= 5.0 / 8.0:
+        return None
+    return 9.0 / (4.0 * (1.0 + 2.0 * conc * conc)), 2.25
 
 
 def bell_diagonal(c: Any) -> np.ndarray:

@@ -244,7 +244,7 @@ class TestThresholdCommand:
             "--format", "csv",
         )
         assert_one_line_error(code, out, err)
-        assert "tol must be positive and finite" in err
+        assert "tol must be at least 2^-52 and finite" in err
 
 
 class TestChshCommand:
@@ -489,7 +489,7 @@ class TestConfigAndDeterminism:
 
     @pytest.mark.parametrize(
         "line, message",
-        [("seed=-5", "seed must be at least 0, got -5"), ("tol=0", "tol must be positive")],
+        [("seed=-5", "seed must be at least 0, got -5"), ("tol=0", "tol must be at least 2^-52")],
     )
     def test_out_of_range_config_value_names_its_file_and_line(
         self, tmp_path, capsys, line, message

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,12 +7,16 @@ from conftest import count_eigvalsh, random_density_matrix, random_tensor, rando
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from reference import (
+    SINGLET_THRESHOLDS,
     bell_diagonal,
     bisect_one_point,
     chsh_by_signed_sums,
     correlation_value,
     frobenius_sum,
     random_rotation_pair,
+    rising_root,
+    schmidt_state,
+    schmidt_threshold,
     sphere_integral,
 )
 
@@ -26,15 +31,18 @@ from bellri import (
     inner_product_ee,
     make_singlet,
     make_werner,
+    matrix_to_json,
     maximally_mixed,
     ri_bound_check,
     rotate_tensor,
     tensor_max_svd,
     verdict_sweep,
 )
+from bellri.cli import main
 from bellri.criteria import (
     COMPARISON_THRESHOLDS,
     CRITERION_FACTOR,
+    EQUALITY_SLACK,
     PRIOR_TWO_SETTING_THRESHOLD,
     VISIBILITY_THRESHOLD,
     _criterion,
@@ -331,6 +339,14 @@ class TestCriticalVisibility:
             assert stack[0] == next(m for m in walk if m not in judged)
         assert len(stacks) <= 2
 
+    def test_crossing_falls_back_to_the_chord_when_the_parabola_has_no_root(self):
+        # margins 0, 2^-52 and 2^-50, met on a random segment: the
+        # parabola through them is flat at lo (den == 0), so the guess is the chord's root
+        lo, hi, far = 0.8411099274580924, 0.8411099274580927, 0.8411099274580929
+        gaps = {lo: 0.0, hi: 2.220446049250313e-16, far: 8.881784197001252e-16}
+        est = bellri.criteria._crossing(lo, hi, far, gaps)
+        assert type(est) is float and lo <= est <= hi
+
     def test_validates_each_endpoint_once(self, monkeypatch):
         calls = {"n": 0}
         original = bellri.tensor.validate_density_matrix
@@ -343,29 +359,41 @@ class TestCriticalVisibility:
         critical_visibility(make_singlet(), maximally_mixed(), 1e-9)
         assert calls["n"] == 2
 
-    def test_tolerance_below_double_spacing_terminates(self, monkeypatch):
-        # near 0.75 adjacent doubles are 2^-53 apart, so a 1e-300 bracket is
-        # unreachable; the bisection must stop at two adjacent doubles
+    def test_coarse_tolerance_returns_the_grid_bracket_midpoint(self, monkeypatch):
+        # 3/4 is satisfied and 13/16 violated, so the walk starts and stops at [12/16, 13/16]
+        stacks = count_criterion_stacks(monkeypatch)
+        assert critical_visibility(make_singlet(), maximally_mixed(), 0.3) == 0.78125
+        assert stacks == [17]
+
+    @pytest.mark.parametrize("pair", ["singlet-white", "F"])
+    def test_finest_tolerance_straddles_the_crossing(self, monkeypatch, pair):
+        pure, noise = {"singlet-white": (make_singlet(), maximally_mixed()), "F": (F_PURE, F_NOISE)}[pair]
         stacks = count_criterion_stacks(monkeypatch, limit=16)
-        t_pure = compute_tensor(make_singlet())
-        t_noise = compute_tensor(maximally_mixed())
+        t_pure, t_noise = compute_tensor(pure), compute_tensor(noise)
 
         def violated_at(v):
             return evaluate_ri_criterion(v * t_pure + (1.0 - v) * t_noise).violated
 
-        v = critical_visibility(make_singlet(), maximally_mixed(), 1e-300)
-        assert stacks
-        assert abs(v - 0.75) <= 1e-12
-        # the result is one end of the final bracket of adjacent doubles
-        assert violated_at(np.nextafter(v, 2.0))
-        assert not violated_at(np.nextafter(v, -1.0))
+        tol = 2.0**-52
+        v = critical_visibility(pure, noise, tol)
+        # the walk halves a 1/16 bracket down to width 2^-52, so v is the midpoint of a
+        # bracket [v - tol/2, v + tol/2] whose ends read satisfied and violated
+        assert not violated_at(v - tol / 2)
+        assert violated_at(v + tol / 2)
+        # 48 halvings from 1/16 reach 2^-52, and a stack holds at most one walk's midpoints
+        assert stacks[0] == 17 and max(stacks) <= 48
+
+    @pytest.mark.parametrize("tol", [2.0**-53, 1e-300, 5e-324, 0.0, -1.0, math.inf, math.nan])
+    def test_rejects_tolerance_below_machine_epsilon_or_not_finite(self, tol):
+        with pytest.raises(DomainError, match=r"^tolerance must be at least 2\^-52 and finite, got "):
+            critical_visibility(make_singlet(), maximally_mixed(), tol)
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(DomainError, match="tolerance"):
             critical_visibility(make_singlet(), maximally_mixed(), 0.0)
 
     def test_rejects_infinite_tolerance(self):
-        # an infinite bracket width would return the first midpoint, 0.5
+        # an infinite tolerance would return the midpoint of the grid bracket, unrefined
         with pytest.raises(DomainError, match="finite"):
             critical_visibility(make_singlet(), maximally_mixed(), math.inf)
 
@@ -414,10 +442,10 @@ class TestDiagonalStacksSkipLapack:
         assert len(calls) > 0
 
 
-# ROADMAP item F: both endpoints satisfy the criterion, and the segment between
-# them violates it only on about (0.3155, 0.3828)
-F_PURE = bell_diagonal((0.587, 0.587, -1.0))
-F_NOISE = bell_diagonal((1.0, 0.762, -0.762))
+# both endpoints satisfy the criterion, and the segment between them violates it
+# only on about (0.3160, 0.3829), where j/16 = 0.375 lies
+F_C_PURE, F_C_NOISE = np.array((0.587, 0.587, -1.0)), np.array((1.0, 0.762, -0.762))
+F_PURE, F_NOISE = bell_diagonal(F_C_PURE), bell_diagonal(F_C_NOISE)
 
 
 def endpoint_pairs():
@@ -456,11 +484,11 @@ def outcome(bisect, pure, noise, tol):
 class TestBisectionMatchesTheOnePointOracle:
     PAIRS = endpoint_pairs()
 
-    @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6, 1e-3, 0.3, 1e-300, 5e-324])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6, 1e-3, 0.3, 2.0**-52])
     def test_same_float_or_same_error(self, monkeypatch, tol):
         wants = [outcome(bisect_one_point, pure, noise, tol) for pure, noise in self.PAIRS]
         # each stacked call advances the walk at least one level and these pairs
-        # take at most 6 calls, so 16 means a guess has gone badly wrong
+        # take at most 5 calls, so 16 means a guess has gone badly wrong
         stacks = count_criterion_stacks(monkeypatch, limit=16)
         kinds = set()
         for (pure, noise), want in zip(self.PAIRS, wants):
@@ -473,22 +501,66 @@ class TestBisectionMatchesTheOnePointOracle:
 
     @seed(2007)
     @settings(max_examples=150, deadline=None)
-    @given(drawn_endpoints(), drawn_endpoints(), st.floats(-1074.0, -1.0))
+    @given(drawn_endpoints(), drawn_endpoints(), st.floats(-52.0, -1.0))
     def test_same_outcome_on_drawn_endpoints(self, pure, noise, log2_tol):
-        tol = max(2.0**log2_tol, 5e-324)  # log-uniform on [5e-324, 0.5]
+        tol = 2.0**log2_tol  # log-uniform on [2^-52, 0.5]
         want = outcome(bisect_one_point, pure, noise, tol)
         with pytest.MonkeyPatch.context() as monkeypatch:
             count_criterion_stacks(monkeypatch, limit=16)
             got = outcome(critical_visibility, pure, noise, tol)
         assert type(got) is type(want) and got == want
 
-    @pytest.mark.parametrize("tol", [1e-9, 1e-300])
-    def test_violation_only_inside_the_segment_is_missed_by_both(self, tol):
-        assert evaluate_ri_criterion(
-            0.35 * compute_tensor(F_PURE) + 0.65 * compute_tensor(F_NOISE)
-        ).violated
-        assert critical_visibility(F_PURE, F_NOISE, tol) is None
-        assert bisect_one_point(F_PURE, F_NOISE, tol) is None
+    @pytest.mark.parametrize("tol", [1e-9, 2.0**-52])
+    def test_the_lowest_crossing_is_found(self, tmp_path, capsys, tol):
+        c, d = F_C_NOISE, F_C_PURE - F_C_NOISE
+        # the tensor is diag(c + v d); up to 0.3829 its top entry is c_1 + v d_1 > 0, so the
+        # margin is |c + v d|^2 - 2.25 (c_1 + v d_1), a quadratic in v
+        root, slope = rising_root(d @ d, 2.0 * c @ d - 2.25 * d[0], c @ c - 2.25 * c[0])
+        got = critical_visibility(F_PURE, F_NOISE, tol)
+        assert_near_root(got, root, slope, tol)
+        assert bisect_one_point(F_PURE, F_NOISE, tol) == got
+        specs = []
+        for name, rho in [("pure", F_PURE), ("noise", F_NOISE)]:
+            (tmp_path / f"{name}.json").write_text(json.dumps(matrix_to_json(rho)))
+            specs += [f"--{name}", f"file:{tmp_path / name}.json"]
+        code = main(["threshold", *specs, "--tol", repr(tol)])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["critical_visibility"] == got
+
+
+def assert_near_root(v, root, slope, tol):
+    # the float criterion starts to violate EQUALITY_SLACK / slope above the exact root
+    assert abs(v - (root + EQUALITY_SLACK / slope)) <= tol + 1e-15
+
+
+KETS = {"white": maximally_mixed(), "ket00": np.diag([1.0, 0, 0, 0]), "ket01": np.diag([0, 1.0, 0, 0])}
+
+
+class TestClosedFormThresholds:
+    @pytest.mark.parametrize("noise", SINGLET_THRESHOLDS)
+    def test_singlet_against_three_noises(self, monkeypatch, noise):
+        stacks = count_criterion_stacks(monkeypatch)
+        v = critical_visibility(make_singlet(), KETS[noise], 1e-12)
+        assert_near_root(v, *SINGLET_THRESHOLDS[noise], 1e-12)
+        # the margin is quadratic in v, so _crossing's parabola lands on the crossing at once
+        assert len(stacks) <= 2
+
+    @pytest.mark.parametrize(
+        "noise, printed", [("white", 0.7500000004656613), ("ket00", 0.8442536392249167)]
+    )
+    def test_pinned_cli_outputs_lie_within_their_tolerance(self, noise, printed):
+        # the two threshold values that tests/test_cli_pinned.py pins, both at tol 1e-9
+        assert_near_root(printed, *SINGLET_THRESHOLDS[noise], 1e-9)
+
+    @pytest.mark.parametrize("conc", [1.0, 0.95, 0.9, 0.85, 0.8, math.sqrt(5 / 8) + 1e-3])
+    def test_pure_states_against_white_noise(self, conc):
+        v = critical_visibility(schmidt_state(conc), maximally_mixed(), 1e-12)
+        assert_near_root(v, *schmidt_threshold(conc), 1e-12)
+
+    @pytest.mark.parametrize("conc", [math.sqrt(5 / 8) - 1e-3, 0.5])
+    def test_pure_states_with_c_squared_at_most_five_eighths_never_violate(self, conc):
+        assert schmidt_threshold(conc) is None
+        assert critical_visibility(schmidt_state(conc), maximally_mixed(), 1e-12) is None
 
 
 class TestStackedCriterion:

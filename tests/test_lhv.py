@@ -593,6 +593,17 @@ class TestConsistencyVerdict:
     def test_strictly_negative_margin_inside_interval(self):
         assert consistency_verdict(0.5).criterion_margin < 0.0
 
+    @pytest.mark.parametrize("v", [1.5, -0.5, math.nan, "x"])
+    def test_a_bad_visibility_is_named_as_make_werner_and_build_model_name_it(self, v):
+        # consistency_verdict takes one visibility, not the sweep's v_min and v_max
+        for f in (make_werner, build_model):
+            with pytest.raises(DomainError) as want:
+                f(v)
+            with pytest.raises(DomainError) as got:
+                consistency_verdict(v)
+            assert str(got.value) == str(want.value)
+            assert str(got.value).startswith("visibility must be ")
+
     @pytest.mark.parametrize("v", [0.5, 0.6, 0.9, 1.0])
     @pytest.mark.parametrize(
         "u1, u2",
