@@ -16,6 +16,8 @@ invariant* local hidden variable models. That 0.75 is compared with two-setting
 experiments at orthogonal or coplanar axes, such as the complete CHSH set
 (:func:`chsh_complete_set`), which that family satisfies at every visibility,
 not with CHSH at optimal settings, which already rules it out above 1/sqrt(2).
+On no two-qubit state is the criterion the stronger test: wherever it is violated,
+the top singular values have s1^2 + s2^2 > 1, so CHSH at optimal settings exceeds 2.
 """
 
 from __future__ import annotations
@@ -152,24 +154,20 @@ def _path(lo: float, hi: float, tol: float, est: float) -> list[float]:
     return mids
 
 
-def _crossing(lo: float, hi: float, far: float, gaps: dict) -> float:
-    """Where the parabola through the margins at ``lo``, ``hi`` and ``far`` crosses zero in ``[lo, hi]``.
+def _crossing(lo: float, hi: float, g_lo: float, g_hi: float, curve: float) -> float:
+    """Root in ``[lo, hi]`` of the parabola with ``v^2`` coefficient ``curve`` through the margins.
 
-    The margin is <= 0 at ``lo`` and > 0 at ``hi``, so the parabola rises through zero once
-    between them; the straight line through those two is the fallback when rounding hides it.
-    Near the noisy singlet's crossing the margin is quadratic in ``v``, so the guess is exact
-    to rounding and the walk takes two stacked calls at tol 1e-12.
+    ``sum T^2`` is exactly quadratic along the segment, with ``curve = |T_pure - T_noise|^2``,
+    and ``T_max`` is convex. Where ``T_max`` is linear on ``[lo, hi]`` (every state against white
+    noise, the singlet against |00> or |01>) the margin is this parabola and the guess is the
+    crossing to rounding; elsewhere the margin lies on or above it, so in exact arithmetic the
+    margin at the guess is not negative and the guess is never short of the crossing.
     """
-    g_lo, g_hi, g_far = gaps[lo], gaps[hi], gaps[far]
-    slope = (g_hi - g_lo) / (hi - lo)
-    curve = ((g_far - g_lo) / (far - lo) - slope) / (far - hi)
-    # with t = v - lo the parabola is g_lo + b*t + curve*t^2, rising through zero at
-    # t = -2 g_lo / (b + sqrt(b^2 - 4 curve g_lo))
-    b = slope - curve * (hi - lo)
-    den = b + math.sqrt(max(b * b - 4.0 * curve * g_lo, 0.0))
-    if den > 0.0:
-        return lo - 2.0 * g_lo / den
-    return lo + (hi - lo) * g_lo / (g_lo - g_hi)
+    if g_lo == 0.0:
+        return lo
+    # the parabola is g_lo + b*u + curve*u^2 in u = v - lo; g_lo < 0 <= curve keeps the divisor > 0
+    b = (g_hi - g_lo) / (hi - lo) - curve * (hi - lo)
+    return lo - 2.0 * g_lo / (b + math.sqrt(b * b - 4.0 * curve * g_lo))
 
 
 def critical_visibility(pure_state: Any, noise: Any, tol: float) -> Optional[float]:
@@ -185,10 +183,11 @@ def critical_visibility(pure_state: Any, noise: Any, tol: float) -> Optional[flo
     mixture ``v*T_pure + (1-v)*T_noise`` of the endpoint tensors; each
     endpoint is validated once. The first stacked criterion call judges the
     grid; each later one judges the midpoints the walk would visit down to
-    ``tol`` if the crossing lay at :func:`_crossing`'s guess. That path starts
-    at the walk's current midpoint, so each call advances the walk at least
-    one level, and the walk visits the same midpoints, with the same bits, as
-    a bisection judging one point per step.
+    ``tol`` if the crossing lay at :func:`_crossing`'s guess from the bracket's two
+    ends: exact where ``T_max`` is linear there, never short of the crossing elsewhere.
+    That path starts at the walk's current midpoint, so each call advances the walk
+    at least one level, and the walk visits the same midpoints, with the same bits,
+    as a bisection judging one point per step.
     """
     tol = _tolerance(tol, "tolerance")
     t_pure, t_noise = compute_tensor(pure_state), compute_tensor(noise)
@@ -205,16 +204,16 @@ def critical_visibility(pure_state: Any, noise: Any, tol: float) -> Optional[flo
     j = next((j for j in range(1, 17) if gaps[j / 16] > 0), None)
     if j is None:
         return None
-    # far is the third judged point of _crossing's parabola
-    lo, hi, far = (j - 1) / 16, j / 16, (j + 1 if j < 16 else j - 2) / 16
+    curve = float(np.square(t_pure - t_noise).sum())
+    lo, hi = (j - 1) / 16, j / 16
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid not in gaps:
-            judge(_path(lo, hi, tol, _crossing(lo, hi, far, gaps)))
+            judge(_path(lo, hi, tol, _crossing(lo, hi, gaps[lo], gaps[hi], curve)))
         if gaps[mid] > 0:
-            far, hi = hi, mid
+            hi = mid
         else:
-            far, lo = lo, mid
+            lo = mid
     return 0.5 * (lo + hi)
 
 

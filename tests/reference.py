@@ -337,6 +337,35 @@ def bell_diagonal(c: Any) -> np.ndarray:
     return (np.eye(4) + sum(ck * np.kron(s, s) for ck, s in zip(c, PAULIS))) / 4.0
 
 
+# Werner's local model of the noisy singlet at visibility 1/2
+
+
+def werner_model_correlation(a: Any, b: Any, nodes: int) -> float:
+    """Correlation of Werner's local hidden variable model at directions ``a`` and ``b``.
+
+    Werner, PRA 40, 4277 (1989): ``lambda`` is uniform on the sphere, Alice outputs
+    ``-sgn(a . lambda)`` and Bob +1 with probability ``(1 + b . lambda)/2``, so Bob's mean
+    outcome is ``b . lambda``. Their mean product is integrated over each hemisphere about
+    ``a`` by Gauss-Legendre in ``cos(theta)`` and ``nodes`` equally spaced azimuths. On a
+    hemisphere the integrand is linear in ``cos(theta)`` and of degree one in the azimuth,
+    so for ``nodes >= 2`` the rule is exact and gives ``-(a . b)/2``.
+    """
+    a, b = unit_vector(a), unit_vector(b)
+    e1 = np.cross(a, np.eye(3)[int(np.argmin(np.abs(a)))])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(a, e1)
+    mu, w = np.polynomial.legendre.leggauss(nodes)
+    mu, w = 0.5 * (mu + 1.0), 0.5 * w  # cos(theta) on [0, 1], the polar cap about a
+    phi = np.arange(nodes) * (2.0 * math.pi / nodes)
+    ring = np.outer(np.cos(phi), e1) + np.outer(np.sin(phi), e2)
+    total = 0.0
+    for side in (1.0, -1.0):  # the hemisphere where a . lambda has this sign
+        lam = (side * mu)[:, None, None] * a + np.sqrt(1.0 - mu * mu)[:, None, None] * ring
+        alice, bob_mean = -np.sign(lam @ a), lam @ b
+        total += float(w @ (alice * bob_mean).sum(axis=1)) * (2.0 * math.pi / nodes)
+    return total / (4.0 * math.pi)
+
+
 # the two-setting model
 
 
