@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import criteria, lhv, states, tensor
 from .errors import DomainError
@@ -44,15 +44,10 @@ class RunConfig:
 
 
 class Output(NamedTuple):
-    """What a subcommand prints; only the format asked for is ever built.
+    """One thunk per format, returning the finished text; only the chosen one is ever called."""
 
-    ``payload`` returns a JSON value, or a string that is already its
-    ``json.dumps(..., indent=2, sort_keys=True)`` text.
-    """
-
-    payload: Callable[[], Any]
-    header: str
-    rows: Callable[[], list[list]]
+    json: Callable[[], str]
+    csv: Callable[[], str]
     code: int = EXIT_OK
 
 
@@ -62,7 +57,7 @@ STATE_SPEC_HELP = "werner:<v> | singlet | white | file:<path>"
 def _read_text(path: str, what: str) -> str:
     """The UTF-8 text of the ``what`` file at ``path``, or a :class:`DomainError` naming it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")  # drops a leading byte-order mark
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise DomainError(f"cannot read {what} file {path!r}: {exc}") from exc
 
@@ -117,6 +112,10 @@ def parse_state(spec: str):
     )
 
 
+def _json(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
 def _csv(header: str, rows: list[list]) -> str:
     def cell(x) -> str:
         if isinstance(x, bool):
@@ -130,34 +129,29 @@ def _csv(header: str, rows: list[list]) -> str:
 def cmd_tensor(args: argparse.Namespace, cfg: RunConfig) -> Output:
     t = tensor.compute_tensor(parse_state(args.state))
     return Output(
-        lambda: tensor.tensor_to_json(t),
-        "T11,T12,T13,T21,T22,T23,T31,T32,T33",
-        lambda: [t.ravel().tolist()],
+        lambda: _json(tensor.tensor_to_json(t)),
+        lambda: _csv("T11,T12,T13,T21,T22,T23,T31,T32,T33", [t.ravel().tolist()]),
     )
 
 
 def cmd_criterion(args: argparse.Namespace, cfg: RunConfig) -> Output:
     report = criteria.evaluate_ri_criterion(tensor.compute_tensor(parse_state(args.state)))
     return Output(
-        report._asdict,
-        "lhs,rhs,margin,violated,threshold_criterion,threshold_prior_two_setting",
-        lambda: [[report.lhs, report.rhs, report.margin, report.violated,
-                  *report.comparison_thresholds]],
+        lambda: _json(report._asdict()),
+        lambda: _csv("lhs,rhs,margin,violated,threshold_criterion,threshold_prior_two_setting",
+                     [[report.lhs, report.rhs, report.margin, report.violated,
+                       *report.comparison_thresholds]]),
     )
 
 
 def cmd_threshold(args: argparse.Namespace, cfg: RunConfig) -> Output:
     result = criteria.critical_visibility(parse_state(args.pure), parse_state(args.noise), cfg.tol)
     status = "ok" if result is not None else "no-violation"
-    thresholds = list(criteria.COMPARISON_THRESHOLDS)
     return Output(
-        lambda: {
-            "critical_visibility": result,
-            "status": status,
-            "comparison_thresholds": thresholds,
-        },
-        "critical_visibility,status,threshold_criterion,threshold_prior_two_setting",
-        lambda: [["" if result is None else result, status, *thresholds]],
+        lambda: _json({"critical_visibility": result, "status": status,
+                       "comparison_thresholds": criteria.COMPARISON_THRESHOLDS}),
+        lambda: _csv("critical_visibility,status,threshold_criterion,threshold_prior_two_setting",
+                     [["" if result is None else result, status, *criteria.COMPARISON_THRESHOLDS]]),
         EXIT_OK if result is not None else EXIT_SENTINEL,
     )
 
@@ -165,10 +159,10 @@ def cmd_threshold(args: argparse.Namespace, cfg: RunConfig) -> Output:
 def cmd_chsh(args: argparse.Namespace, cfg: RunConfig) -> Output:
     report = criteria.chsh_complete_set(tensor.compute_tensor(parse_state(args.state)), args.plane)
     return Output(
-        report._asdict,
-        "plane,value_1,value_2,value_3,value_4,bound,max_value,satisfied",
-        lambda: [["%d%d" % report.plane, *report.values, report.bound, report.max_value,
-                  report.satisfied]],
+        lambda: _json(report._asdict()),
+        lambda: _csv("plane,value_1,value_2,value_3,value_4,bound,max_value,satisfied",
+                     [["%d%d" % report.plane, *report.values, report.bound, report.max_value,
+                       report.satisfied]]),
     )
 
 
@@ -176,7 +170,7 @@ def cmd_lhv(args: argparse.Namespace, cfg: RunConfig) -> Output:
     model = lhv.build_model(args.v)
     est = lhv.estimate_correlation(model, args.i, args.j, args.n, cfg.seed)
     payload = lhv.mc_report(model, args.i, args.j, est)
-    return Output(lambda: payload, ",".join(payload), lambda: [list(payload.values())])
+    return Output(lambda: _json(payload), lambda: _csv(",".join(payload), [list(payload.values())]))
 
 
 # one verdict record as json.dumps(..., indent=2, sort_keys=True) writes it
@@ -202,15 +196,15 @@ def _sweep_json(vs: list, margins: list, flags: list) -> str:
     # work per point
     values = [None] * (2 * len(vs))
     values[::2], values[1::2] = margins, vs
-    return ("[\n" + ",\n".join(map(_SWEEP_TEMPLATE.__getitem__, flags)) + "\n]") % tuple(values)
+    return ("[\n" + ",\n".join(map(_SWEEP_TEMPLATE.__getitem__, flags)) + "\n]\n") % tuple(values)
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> Output:
     vs, margins, flags = lhv.sweep_margins(args.v_min, args.v_max, args.steps)
     return Output(
         lambda: _sweep_json(vs, margins, flags),
-        "v,margin,consistent",
-        lambda: [[v, m, not bad] for v, m, bad in zip(vs, margins, flags)],
+        lambda: _csv("v,margin,consistent",
+                     [[v, m, not bad] for v, m, bad in zip(vs, margins, flags)]),
     )
 
 
@@ -285,13 +279,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = _resolve_config(args)
         out = args.handler(args, cfg)
-        if cfg.format == "json":
-            text = out.payload()
-            if not isinstance(text, str):
-                text = json.dumps(text, indent=2, sort_keys=True)
-            text += "\n"  # rebinding frees the text without the newline
-        else:
-            text = _csv(out.header, out.rows())
+        text = out.json() if cfg.format == "json" else out.csv()
         code = out.code
         del out  # frees the lists behind the text before it is written
         if cfg.output == STDOUT_MARKER:

@@ -16,6 +16,10 @@ invariant* local hidden variable models. That 0.75 is compared with two-setting
 experiments at orthogonal or coplanar axes, such as the complete CHSH set
 (:func:`chsh_complete_set`), which that family satisfies at every visibility,
 not with CHSH at optimal settings, which already rules it out above 1/sqrt(2).
+So 0.75 is where this criterion starts to detect nonlocality, not where rotationally
+invariant local models stop existing: no local model reproduces the noisy singlet
+above 1/K_G(3) <= 1/sqrt(2), with K_G(3) Grothendieck's constant of order 3
+(Acin, Gisin, Toner, PRA 73, 062105 (2006)).
 On no two-qubit state is the criterion the stronger test: wherever it is violated,
 the top singular values have s1^2 + s2^2 > 1, so CHSH at optimal settings exceeds 2.
 """

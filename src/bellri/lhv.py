@@ -79,8 +79,7 @@ class LhvTwoSettingModel:
 build_model = LhvTwoSettingModel
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     """Monte Carlo mean with its standard error."""
 
     mean: float

@@ -8,6 +8,8 @@ rather than in the public API.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -22,7 +24,6 @@ from bellri import (
     validate_density_matrix,
     verdict_sweep,
 )
-from bellri.cli import _csv
 from bellri.lhv import LhvTwoSettingModel, _axis_streams
 from bellri.states import PAULIS, _finite_array, _real, require_unitary
 from bellri.tensor import as_tensor
@@ -445,13 +446,18 @@ def piecewise_correlation(v: float, n1: Any, n2: Any) -> Optional[float]:
 def sweep_stdout(v_min: float, v_max: float, steps: int, fmt: str) -> str:
     """``bellri sweep`` output rendered from the verdict records.
 
-    JSON is ``json.dumps`` of the records' ``_asdict`` form, CSV the CSV
-    writer over their fields: the renderer the CLI used before it wrote the
-    sweep straight from the margin arrays.
+    JSON is ``json.dumps`` of the records' ``_asdict`` form, the renderer the
+    CLI used before it wrote the sweep straight from the margin arrays. CSV is
+    the standard library's ``csv.writer`` over their fields, flags as
+    ``true``/``false``: a second implementation of the CLI's CSV writer.
     """
     verdicts = verdict_sweep(v_min, v_max, steps)
     if fmt == "json":
         return json.dumps([v._asdict() for v in verdicts], indent=2, sort_keys=True) + "\n"
-    return _csv(
-        "v,margin,consistent", [[v.v, v.criterion_margin, v.consistent] for v in verdicts]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["v", "margin", "consistent"])
+    writer.writerows(
+        [v.v, v.criterion_margin, "true" if v.consistent else "false"] for v in verdicts
     )
+    return out.getvalue()

@@ -561,6 +561,14 @@ FILE_BOUNDARY = {
                         "cannot write output file"),
 }
 
+# UTF-8 files a byte-order mark may precede, and the arguments that point a
+# CSV `tensor` at them
+UTF8_BOM = {
+    "bom-state": (json.dumps(matrix_to_json(make_werner(0.8))).encode(),
+                  ["--state", "file:{}", "--format", "csv"]),
+    "bom-config": (b"format=csv\n", ["--state", "singlet", "--config", "{}"]),
+}
+
 
 class TestFileBoundary:
     @pytest.mark.parametrize("body, args, message", FILE_BOUNDARY.values(), ids=FILE_BOUNDARY)
@@ -570,6 +578,15 @@ class TestFileBoundary:
         code, out, err = run(capsys, "tensor", *(a.format(path) for a in args))
         assert_one_line_error(code, out, err)
         assert err.startswith(f"error: {message} ")
+
+    @pytest.mark.parametrize("body, args", UTF8_BOM.values(), ids=UTF8_BOM)
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path, capsys, body, args):
+        path = tmp_path / "input"
+        path.write_bytes(body)
+        plain = run(capsys, "tensor", *(a.format(path) for a in args))
+        assert plain[0] == 0 and plain[1].startswith("T11,") and plain[2] == ""
+        path.write_bytes(b"\xef\xbb\xbf" + body)
+        assert run(capsys, "tensor", *(a.format(path) for a in args)) == plain
 
 
 # a file whose name holds a newline: its body, the arguments that point
@@ -615,11 +632,11 @@ class TestOutputPath:
         built = []
         output = cli.Output
 
-        def recording(payload, header, rows, code=cli.EXIT_OK):
+        def recording(json, csv, code=cli.EXIT_OK):
             def track(name, thunk):
                 return lambda: built.append(name) or thunk()
 
-            return output(track("json", payload), header, track("csv", rows), code)
+            return output(track("json", json), track("csv", csv), code)
 
         monkeypatch.setattr(cli, "Output", recording)
         run(capsys, *argv, "--format", fmt)

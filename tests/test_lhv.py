@@ -517,6 +517,14 @@ class TestMcReport:
         payload = mc_report(model, 3, 3, est)
         assert payload["std_error"] == 0.0 and payload["pass"] is True
 
+    def test_estimate_is_the_named_tuple_with_typed_fields(self):
+        est = estimate_correlation(build_model(0.75), 1, 1, np.int64(2000), seed=1)
+        assert type(est) is McEstimate
+        assert list(est._asdict()) == ["mean", "std_error", "n_samples"]
+        assert [type(x) for x in est] == [float, float, int]
+        with pytest.raises(AttributeError):
+            est.mean = 0.0
+
     @pytest.mark.parametrize("sigmas", [-10.0, 10.0], ids=["below", "above"])
     def test_mean_ten_sigma_off_target_fails(self, sigmas):
         est = McEstimate(mean=-0.5 + sigmas * 0.01, std_error=0.01, n_samples=1000)
