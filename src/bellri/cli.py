@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import criteria, lhv, states, tensor
 from .errors import DomainError
@@ -116,7 +116,7 @@ def _json(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
-def _csv(header: str, rows: list[list]) -> str:
+def _csv(header: str, rows: Iterable) -> str:
     def cell(x) -> str:
         if isinstance(x, bool):
             return "true" if x else "false"
@@ -185,8 +185,8 @@ _SWEEP_RECORD = """\
     "v": %%r
   }"""
 _SWEEP_TEMPLATE = {
-    False: _SWEEP_RECORD % ("true", lhv.CONSISTENT),
-    True: _SWEEP_RECORD % ("false", lhv.RI_VIOLATED),
+    True: _SWEEP_RECORD % ("true", lhv.CONSISTENT),
+    False: _SWEEP_RECORD % ("false", lhv.RI_VIOLATED),
 }
 
 
@@ -200,11 +200,10 @@ def _sweep_json(vs: list, margins: list, flags: list) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> Output:
-    vs, margins, flags = lhv.sweep_margins(args.v_min, args.v_max, args.steps)
+    vs, margins, consistent = lhv.sweep_margins(args.v_min, args.v_max, args.steps)
     return Output(
-        lambda: _sweep_json(vs, margins, flags),
-        lambda: _csv("v,margin,consistent",
-                     [[v, m, not bad] for v, m, bad in zip(vs, margins, flags)]),
+        lambda: _sweep_json(vs, margins, consistent),
+        lambda: _csv("v,margin,consistent", zip(vs, margins, consistent)),
     )
 
 
@@ -295,9 +294,5 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INVALID
 
 
-def entrypoint() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    raise SystemExit(main())

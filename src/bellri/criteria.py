@@ -85,10 +85,10 @@ class BoundReport(NamedTuple):
 
 
 def _criterion(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Left side, right side and violation flag on a ``(..., 3, 3)`` stack of tensors."""
+    """Both sides and whether ``lhs <= rhs + EQUALITY_SLACK`` holds, on a ``(..., 3, 3)`` stack."""
     lhs = (t * t).sum(axis=(-2, -1))
     rhs = CRITERION_FACTOR * _top_singular(t, lhs)
-    return lhs, rhs, lhs > rhs + EQUALITY_SLACK
+    return lhs, rhs, lhs <= rhs + EQUALITY_SLACK
 
 
 def evaluate_ri_criterion(t: Any) -> CriterionReport:
@@ -99,11 +99,11 @@ def evaluate_ri_criterion(t: Any) -> CriterionReport:
     the nominal maximization over frames on the left side is a no-op and the
     plain sums are reported.
     """
-    lhs, rhs, violated = _criterion(as_tensor(t))
+    lhs, rhs, holds = _criterion(as_tensor(t))
     return CriterionReport(
         lhs=float(lhs),
         rhs=float(rhs),
-        violated=bool(violated),
+        violated=not holds,
         margin=float(lhs - rhs),
     )
 
@@ -242,7 +242,7 @@ def ri_bound_check(t: Any) -> BoundReport:
     sides are scaled by ``(4pi/3)^2`` and the verdict is the algebraic one,
     with the same slack, so the two reports never disagree.
     """
-    lhs, rhs, violated = _criterion(as_tensor(t))
+    lhs, rhs, holds = _criterion(as_tensor(t))
     lhs = float(_EE_FACTOR * lhs)
     rhs = float(_EE_FACTOR * rhs)
-    return BoundReport(lhs=lhs, rhs=rhs, satisfied=not violated, margin=lhs - rhs)
+    return BoundReport(lhs=lhs, rhs=rhs, satisfied=bool(holds), margin=lhs - rhs)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import _thread
 import math
-import operator
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Any, Callable, Iterable, NamedTuple
@@ -268,7 +267,7 @@ def mc_report(model: LhvTwoSettingModel, i: int, j: int, est: McEstimate) -> dic
 
 
 def sweep_margins(v_min: float, v_max: float, steps: int) -> tuple[list, list, list]:
-    """Visibilities, criterion margins and violation flags of the noisy singlet, as lists.
+    """Visibilities, criterion margins and consistency flags of the noisy singlet, as lists.
 
     The visibilities are ``np.linspace(v_min, v_max, steps)``, judged by one
     stacked criterion per ``_CHUNK`` of them; ``steps`` must lie in
@@ -282,15 +281,15 @@ def sweep_margins(v_min: float, v_max: float, steps: int) -> tuple[list, list, l
     steps = _whole(steps, "step count steps", 1, MAX_STEPS)
     grid = np.linspace(v_min, v_max, steps)
     margins: list = []
-    violated: list = []
+    consistent: list = []
     for lo in range(0, steps, _CHUNK):
         # the mixtures are valid and Hermitian by construction, so none is validated; mixing
         # the endpoint tensors instead moves T_zz by an ulp at 4180 of 10001 margins on [0, 1]
         v = grid[lo : lo + _CHUNK, None, None]
-        lhs, rhs, bad = _criterion(_pauli_expectations(_werner(v)))
+        lhs, rhs, holds = _criterion(_pauli_expectations(_werner(v)))
         margins += (lhs - rhs).tolist()
-        violated += bad.tolist()
-    return grid.tolist(), margins, violated
+        consistent += holds.tolist()
+    return grid.tolist(), margins, consistent
 
 
 def consistency_verdict(v: float) -> ConsistencyVerdict:
@@ -306,9 +305,9 @@ def consistency_verdict(v: float) -> ConsistencyVerdict:
 
 def verdict_sweep(v_min: float, v_max: float, steps: int) -> list[ConsistencyVerdict]:
     """Verdicts at the points of :func:`sweep_margins` (``1 <= steps <= MAX_STEPS``)."""
-    vs, margins, violated = sweep_margins(v_min, v_max, steps)
+    vs, margins, consistent = sweep_margins(v_min, v_max, steps)
     # tuple.__new__ on the field tuples builds each record in C, as _make does
     # after a Python frame of its own; the flags are bools, which index the codes
-    codes = map((CONSISTENT, RI_VIOLATED).__getitem__, violated)
-    fields = zip(vs, margins, map(operator.not_, violated), codes)
+    codes = map((RI_VIOLATED, CONSISTENT).__getitem__, consistent)
+    fields = zip(vs, margins, consistent, codes)
     return list(map(tuple.__new__, repeat(ConsistencyVerdict), fields))

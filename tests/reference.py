@@ -13,6 +13,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any, Optional
 
 import numpy as np
@@ -24,6 +25,7 @@ from bellri import (
     validate_density_matrix,
     verdict_sweep,
 )
+from bellri.criteria import EQUALITY_SLACK
 from bellri.lhv import LhvTwoSettingModel, _axis_streams
 from bellri.states import PAULIS, _finite_array, _real, require_unitary
 from bellri.tensor import as_tensor
@@ -181,6 +183,32 @@ def frobenius_sum(t: Any) -> float:
     """
     a = as_tensor(t)
     return float(np.sum(a * a))
+
+
+def criterion_holds_exactly(t: Any) -> bool:
+    """Whether ``sum T^2 <= 2.25 T_max + EQUALITY_SLACK`` holds, in exact rational arithmetic.
+
+    Every float entry and the slack ``s`` are exact rationals. With ``S = sum T^2``, the
+    inequality fails iff ``S > s`` and ``(S - s) / (9/4) > T_max``, the root of the top
+    eigenvalue of ``T^T T``: iff ``(S - s)^2 I - (9/4)^2 T^T T`` is positive definite, that
+    is (Sylvester) iff its three leading principal minors are positive.
+    """
+    a = [[Fraction(x) for x in row] for row in as_tensor(t).tolist()]
+    s = Fraction(EQUALITY_SLACK)
+    excess = sum(x * x for row in a for x in row) - s
+    if excess <= 0:
+        return True
+    m = [
+        [excess**2 * (i == j) - Fraction(81, 16) * sum(r[i] * r[j] for r in a) for j in range(3)]
+        for i in range(3)
+    ]
+    minor2 = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    minor3 = (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+    return not (m[0][0] > 0 and minor2 > 0 and minor3 > 0)
 
 
 def tensor_max_grid(t: Any, n_theta: int, n_phi: int) -> float:

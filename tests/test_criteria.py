@@ -12,6 +12,7 @@ from reference import (
     bisect_one_point,
     chsh_by_signed_sums,
     correlation_value,
+    criterion_holds_exactly,
     frobenius_sum,
     random_rotation_pair,
     rising_root,
@@ -110,10 +111,10 @@ class TestRiCriterion:
     def test_stacked_criterion_matches_one_tensor_case(self):
         rng = np.random.default_rng(7)
         stack = np.array([random_tensor(rng) for _ in range(200)])
-        lhs, rhs, violated = bellri.criteria._criterion(stack)
+        lhs, rhs, holds = bellri.criteria._criterion(stack)
         for k, t in enumerate(stack):
             rep = evaluate_ri_criterion(t)
-            assert (rep.lhs, rep.rhs, rep.violated) == (lhs[k], rhs[k], violated[k])
+            assert (rep.lhs, rep.rhs, rep.violated) == (lhs[k], rhs[k], not holds[k])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_tensor(self, bad):
@@ -137,6 +138,35 @@ class TestRiCriterion:
         # and it is strictly increasing on the branch where the crossing happens
         upper = [evaluate_ri_criterion(werner_tensor(v)).margin for v in np.linspace(0.4, 1, 30)]
         assert all(b > a for a, b in zip(upper, upper[1:]))
+
+
+def exact_disagreements(stack, near):
+    """Indices where a float verdict differs from the exact one and ``|lhs - (rhs + s)| > near``.
+
+    The float verdicts are the stacked flag, the algebraic report's and the functional one's;
+    a negative ``near`` checks every tensor.
+    """
+    lhs, rhs, holds = _criterion(stack)
+    far = np.abs(lhs - (rhs + EQUALITY_SLACK)) > near
+    return [
+        k for k, t in enumerate(stack) if far[k]
+        and (bool(holds[k]), not evaluate_ri_criterion(t).violated, ri_bound_check(t).satisfied)
+        != (criterion_holds_exactly(t),) * 3
+    ]
+
+
+class TestExactVerdict:
+    def test_random_tensors_away_from_the_boundary(self):
+        stack = np.random.default_rng(34).uniform(-1.0, 1.0, (300, 3, 3))
+        assert exact_disagreements(stack, 1e-9) == []
+
+    def test_werner_tensors_at_the_boundary(self):
+        # margin 3v^2 - 2.25v rises through the slack at v = 0.75 + 1e-12 / 2.25 with slope 2.25,
+        # so the 1e-14 grid steps move it by ~2e-14, far above its ~1e-16 rounding
+        v = np.linspace(0.75 - 2e-12, 0.75 + 2e-12, 401)
+        stack = -v[:, None, None] * np.eye(3)
+        assert exact_disagreements(stack, -1.0) == []
+        assert 0 < _criterion(stack)[2].sum() < len(stack)
 
 
 class TestChsh:
@@ -198,6 +228,28 @@ class TestChsh:
         if evaluate_ri_criterion(t).violated:
             s = np.linalg.svd(t, compute_uv=False)
             assert s[0] ** 2 + s[1] ** 2 > 1.0
+
+    def test_bell_diagonal_tetrahedron_fractions(self):
+        # Bell-diagonal states (reference.bell_diagonal) have tensor diag(c) with c in the
+        # tetrahedron 1 - c1 - c2 - c3 >= 0, 1 + c1 + c2 + c3 - 2 c_i >= 0. The centres of a 1/50
+        # lattice on [-1, 1]^3 are c = m / 100 with odd m, so no centre lies on a face or on an
+        # entanglement or CHSH boundary, which are decided exactly on the integers m
+        m = np.stack(np.meshgrid(*[np.arange(-99, 100, 2)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        total = m.sum(axis=1)
+        m = m[(total < 100) & (total[:, None] - 2 * m > -100).all(axis=1)]
+        assert len(m) == 333_400
+        entangled = np.abs(m).sum(axis=1) > 100
+        squares = np.sort(m * m, axis=1)
+        chsh = squares[:, 1] + squares[:, 2] > 100**2
+        t = np.zeros((len(m), 3, 3))
+        t[:, range(3), range(3)] = m / 100
+        criterion = ~_criterion(t)[2]
+        # the separable octahedron holds exactly half the tetrahedron's volume
+        assert abs(entangled.mean() - 0.5) <= 0.002
+        assert abs(entangled.mean() - 0.5003) <= 0.002
+        assert abs(chsh.mean() - 0.0872) <= 0.002
+        assert abs(criterion.mean() - 0.0117) <= 0.002
+        assert not (criterion & ~chsh).any()
 
     def test_rejects_bad_plane(self):
         with pytest.raises(DomainError, match="plane"):

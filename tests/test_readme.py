@@ -1,7 +1,10 @@
-"""The README's python quickstart runs against the library as it is."""
+"""The README's python quickstart and command-line examples run against the code as it is."""
 
 import re
+import shlex
 from pathlib import Path
+
+from bellri.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -10,3 +13,13 @@ def test_quickstart_block_runs():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md quickstart", "exec"), {})
+
+
+def test_command_line_block_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    (block,) = re.findall(r"## Command line\n.*?```sh\n(.*?)```", text, re.S)
+    commands = [shlex.split(line) for line in block.splitlines()]
+    assert len(commands) == 6 and all(argv[0] == "bellri" for argv in commands)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+        assert capsys.readouterr().out
