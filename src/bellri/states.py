@@ -115,12 +115,20 @@ def _finite_array(x: Any, dtype: type, shape: tuple[int, ...], what: str) -> np.
     return a
 
 
+class _Checked(bytes):
+    """The bytes of a matrix that :func:`validate_density_matrix` accepted."""
+
+
 def validate_density_matrix(rho: Any) -> np.ndarray:
-    """Return ``rho`` as a complex array after checking its invariants.
+    """Return a read-only complex copy of ``rho`` after checking its invariants.
 
     Raises :class:`DomainError` naming the first violated invariant:
     shape, finite entries, hermiticity, unit trace, or positive
     semidefiniteness; ``LinAlgError`` if LAPACK's eigensolve does not converge.
+
+    The result is a new array, bitwise equal to ``rho`` as a complex 4x4, over
+    immutable bytes, so numpy can never make it writeable and ``compute_tensor``
+    takes it unchecked; its views and copies are checked again.
     """
     m = _finite_array(rho, complex, (4, 4), "density matrix")
     h = 0.5 * m  # exact, and h - h^dag cannot overflow; Python floats reach inf with no warning
@@ -137,7 +145,7 @@ def validate_density_matrix(rho: Any) -> np.ndarray:
         raise DomainError(
             f"matrix is not positive semidefinite: min eigenvalue = {lowest:.3e}"
         )
-    return m
+    return np.ndarray((4, 4), complex, _Checked(m.tobytes()))
 
 
 def make_singlet() -> np.ndarray:

@@ -11,13 +11,14 @@ value, the square root of the top eigenvalue of ``T^T T``).
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 import numpy as np
 
 from .errors import DomainError
 from .states import PAULIS, UNITARITY_TOL, _as_array, _finite_array, eigvalsh_lo, require_unitary
-from .states import validate_density_matrix
+from .states import _Checked, validate_density_matrix
 
 # R is quadratic in U: U^dag U = I + E gives R^T R - I ~ Tr(E) I and det R - 1 ~ (3/2) Tr E, so up
 # to 2 and 3 UNITARITY_TOL; the fourth is rounding headroom (det R - 1 reaches 3 tol + 1.6e-16)
@@ -90,8 +91,22 @@ def validate_rotation(r: Any) -> np.ndarray:
 
 
 def compute_tensor(rho: Any) -> np.ndarray:
-    """Correlation values at the nine pairs of local Cartesian axes."""
-    return _pauli_expectations(validate_density_matrix(rho))
+    """Correlation values at the nine pairs of local Cartesian axes.
+
+    A matrix that :func:`validate_density_matrix` returned is not checked again;
+    any other input, a view or copy of such a matrix included, is.
+    """
+    # that matrix is the C-ordered complex 4x4 over its immutable _Checked bytes;
+    # numpy gives each view of it the array as base, not the bytes
+    if not (
+        type(rho) is np.ndarray
+        and type(rho.base) is _Checked
+        and rho.shape == (4, 4)
+        and rho.strides == (64, 16)
+        and rho.dtype == complex
+    ):
+        rho = validate_density_matrix(rho)
+    return _pauli_expectations(rho)
 
 
 def rotate_tensor(t: Any, r1: Any, r2: Any) -> np.ndarray:
@@ -119,10 +134,14 @@ def _top_singular(t: np.ndarray, sq: Any) -> Any:
     every normal ``d``, and the rescaling above gives ``|d|`` for tiny ones.
     """
     e = None
-    if sq.ndim == 0:  # one tensor: compare the scalar, no array reductions
+    if sq.ndim == 0:  # one tensor: compare the scalar, finish in Python floats
         if sq < _SQ_MIN:
             return _top_singular(t[None], np.reshape(sq, 1))[0]
-    elif not np.count_nonzero(t.reshape(-1, 9)[:, _OFF_DIAGONAL]):
+        top = eigvalsh_lo(t.T @ t).item(-1)
+        if top != top:  # NaN: LAPACK did not converge
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return math.sqrt(top)  # correctly rounded, as np.sqrt is
+    if not np.count_nonzero(t.reshape(-1, 9)[:, _OFF_DIAGONAL]):
         # the largest |T_ii| as the elementwise maximum of the three diagonal columns,
         # which costs less than a reduction over each tensor's 3 or 9 entries
         return np.maximum(np.maximum(abs(t[..., 0, 0]), abs(t[..., 1, 1])), abs(t[..., 2, 2]))
@@ -134,7 +153,7 @@ def _top_singular(t: np.ndarray, sq: Any) -> Any:
             t = t.copy()
             t[bad] = np.ldexp(sub, -e[:, None, None])
     top = np.sqrt(eigvalsh_lo(t.swapaxes(-1, -2) @ t)[..., -1])
-    if (top != top) if sq.ndim == 0 else np.isnan(top).any():  # NaN: LAPACK did not converge
+    if np.isnan(top).any():  # NaN: LAPACK did not converge
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     if e is not None:
         top[bad] = np.ldexp(top[bad], e)

@@ -40,3 +40,20 @@ def count_eigvalsh(monkeypatch):
 
     monkeypatch.setattr(bellri.tensor, "eigvalsh_lo", counting)
     return shapes
+
+
+def count_validations(monkeypatch):
+    """Record every density matrix that ``compute_tensor`` sends to ``validate_density_matrix``.
+
+    Patches the binding in ``bellri.tensor``, so a direct call of the public
+    ``validate_density_matrix`` is not recorded.
+    """
+    seen = []
+    original = bellri.tensor.validate_density_matrix
+
+    def counting(rho):
+        seen.append(rho)
+        return original(rho)
+
+    monkeypatch.setattr(bellri.tensor, "validate_density_matrix", counting)
+    return seen

@@ -1,10 +1,17 @@
 import dataclasses
 import math
+import pickle
 import re
 
 import numpy as np
 import pytest
-from conftest import count_eigvalsh, random_density_matrix, random_tensor, random_unit_vector
+from conftest import (
+    count_eigvalsh,
+    count_validations,
+    random_density_matrix,
+    random_tensor,
+    random_unit_vector,
+)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference import (
@@ -221,7 +228,8 @@ class TestComputeTensor:
         for i, j in ((0, 3), (3, 0), (1, 2), (2, 1)):
             rho[i, j] += residue
         for m in (rho, maximally_mixed() + residue * np.kron(SIGMA[0], SIGMA[0])):
-            assert validate_density_matrix(m) is m
+            checked = validate_density_matrix(m)
+            assert checked.tobytes() == m.tobytes() and not checked.flags.writeable
             hermitian_part = tensor_by_direct_traces((m + m.conj().T) / 2)
             assert np.abs(compute_tensor(m) - hermitian_part).max() <= HERMITIAN_PART_ATOL
 
@@ -230,6 +238,71 @@ class TestComputeTensor:
         for _ in range(20):
             t = compute_tensor(random_density_matrix(rng))
             assert np.max(np.abs(t)) <= 1.0 + 1e-12
+
+
+# arrays derived from a checked matrix; none of them is the matrix validate_density_matrix returned
+DERIVED = {
+    "copy": lambda r: r.copy(),
+    "transpose": lambda r: r.T,
+    "reversed rows": lambda r: r[::-1],
+    "slice": lambda r: r[:],
+    "view": lambda r: r.view(),
+    "pickle": lambda r: pickle.loads(pickle.dumps(r)),
+    "np.array": np.array,
+}
+
+
+class TestCheckedMatrix:
+    """validate_density_matrix returns a read-only copy that compute_tensor does not check again."""
+
+    def test_the_result_is_a_read_only_copy_with_the_same_bytes(self):
+        m = random_density_matrix(np.random.default_rng(50))
+        r = validate_density_matrix(m)
+        assert r is not m and r.tobytes() == m.tobytes()
+        assert r.dtype == complex and not r.flags.writeable
+        with pytest.raises(ValueError):
+            r.flags.writeable = True
+
+    def test_a_checked_matrix_is_not_validated_again(self, monkeypatch):
+        m = random_density_matrix(np.random.default_rng(51))
+        r = validate_density_matrix(m)
+        seen = count_validations(monkeypatch)
+        assert np.array_equal(compute_tensor(r), compute_tensor(m))
+        assert len(seen) == 1 and seen[0] is m
+
+    @pytest.mark.parametrize("derive", DERIVED.values(), ids=DERIVED)
+    def test_each_derived_array_is_validated_again(self, monkeypatch, derive):
+        d = derive(validate_density_matrix(random_density_matrix(np.random.default_rng(52))))
+        seen = count_validations(monkeypatch)
+        if derive is DERIVED["reversed rows"]:  # a view that is no density matrix
+            with pytest.raises(DomainError, match="not Hermitian"):
+                compute_tensor(d)
+        else:
+            assert np.array_equal(compute_tensor(d), _pauli_expectations(np.array(d)))
+        assert len(seen) == 1 and seen[0] is d
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            {"shape": (4, 4), "dtype": complex, "strides": (0, 16)},  # row 0 four times
+            {"shape": (2, 4), "dtype": complex},
+            {"shape": (4, 4), "dtype": np.dtype(complex).newbyteorder()},
+        ],
+        ids=["repeated rows", "half", "swapped bytes"],
+    )
+    def test_another_layout_of_the_checked_bytes_is_validated(self, monkeypatch, layout):
+        r = validate_density_matrix(random_density_matrix(np.random.default_rng(53)))
+        d = np.ndarray(buffer=r.base, **layout)
+        seen = count_validations(monkeypatch)
+        with pytest.raises(DomainError):
+            compute_tensor(d)
+        assert len(seen) == 1
+
+    def test_a_writable_copy_made_non_hermitian_is_rejected(self):
+        c = validate_density_matrix(make_werner(0.5)).copy()
+        c[0, 3] += 1e-6j
+        with pytest.raises(DomainError, match="not Hermitian"):
+            compute_tensor(c)
 
 
 class TestEvaluateViaTensor:
@@ -501,6 +574,23 @@ class TestTopSingular:
                 if np.abs(s).min() >= np.finfo(float).tiny:
                     assert tensor_max_svd(s) == np.ldexp(top, k), k
 
+    @pytest.mark.parametrize("kind", ["near _SQ_MIN", "near 2^240", "rank-one"])
+    def test_one_tensor_has_the_bits_of_numpy_linalg(self, monkeypatch, kind):
+        # one tensor's T_max ends in math.sqrt of one unstacked eigensolve's top value
+        rng = np.random.default_rng(42)
+        t = rng.uniform(-1.0, 1.0, (200, 3, 3))
+        ts = {
+            "near _SQ_MIN": t * np.sqrt(_SQ_MIN * rng.uniform(1.01, 4.0, 200) / squared_sums(t))[:, None, None],
+            "near 2^240": np.ldexp(t, 240),
+            "rank-one": rng.standard_normal((200, 3, 1)) * rng.standard_normal((200, 1, 3)),
+        }[kind]
+        assert np.all(squared_sums(ts) >= _SQ_MIN) and np.abs(ts).max() <= TENSOR_BOUND
+        calls = count_eigvalsh(monkeypatch)
+        got = [tensor_max_svd(a) for a in ts]
+        assert got == [float(np.sqrt(np.linalg.eigvalsh(a.T @ a)[-1])) for a in ts]
+        assert all(type(x) is float for x in got)
+        assert calls == [(3, 3)] * len(ts)
+
     @pytest.mark.parametrize("scale", [1e-200])
     def test_identity_out_of_the_plain_range(self, scale):
         # unscaled, 1e-200 * I had T_max = 0.0
@@ -565,9 +655,12 @@ class TestNonConvergence:
     def test_one_tensor(self, monkeypatch, scale):
         t = random_tensor(np.random.default_rng(38)) * scale
         fail_to_converge(monkeypatch, 0)
+        calls = count_eigvalsh(monkeypatch)
         for call in (tensor_max_svd, evaluate_ri_criterion, ri_bound_check):
             with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
                 call(t)
+        # a plain tensor takes the one-tensor branch, a rescaled one the stack of one
+        assert calls == [(3, 3) if scale == 1.0 else (1, 3, 3)] * 3
 
     @pytest.mark.parametrize("row", [0, 117, -1])
     def test_stack(self, monkeypatch, row):
