@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import criteria, lhv, states, tensor
 from .errors import DomainError
@@ -44,10 +44,13 @@ class RunConfig:
 
 
 class Output(NamedTuple):
-    """One thunk per format, returning the finished text; only the chosen one is ever called."""
+    """One thunk per format, returning the finished text as pieces; only the chosen one is ever called.
 
-    json: Callable[[], str]
-    csv: Callable[[], str]
+    Every subcommand but ``sweep`` returns its text as one piece.
+    """
+
+    json: Callable[[], Iterable[str]]
+    csv: Callable[[], Iterable[str]]
     code: int = EXIT_OK
 
 
@@ -112,18 +115,21 @@ def parse_state(spec: str):
     )
 
 
-def _json(value) -> str:
-    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+def _json(value) -> tuple[str]:
+    return (json.dumps(value, indent=2, sort_keys=True) + "\n",)
 
 
-def _csv(header: str, rows: Iterable) -> str:
+def _csv_lines(rows: Iterable) -> str:
     def cell(x) -> str:
         if isinstance(x, bool):
             return "true" if x else "false"
         return str(x)
 
-    lines = [header] + [",".join(cell(x) for x in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    return "".join([",".join(cell(x) for x in row) + "\n" for row in rows])
+
+
+def _csv(header: str, rows: Iterable) -> tuple[str]:
+    return (header + "\n" + _csv_lines(rows),)
 
 
 def cmd_tensor(args: argparse.Namespace, cfg: RunConfig) -> Output:
@@ -173,38 +179,43 @@ def cmd_lhv(args: argparse.Namespace, cfg: RunConfig) -> Output:
     return Output(lambda: _json(payload), lambda: _csv(",".join(payload), [list(payload.values())]))
 
 
-# one verdict record as json.dumps(..., indent=2, sort_keys=True) writes it
-# inside a list, with its flag's fields filled in: keys sorted, %r is the
-# float.__repr__ json uses for a finite float, and the explanation codes need
-# no escaping
-_SWEEP_RECORD = """\
-  {
-    "consistent": %s,
-    "criterion_margin": %%r,
-    "explanation_code": "%s",
-    "v": %%r
-  }"""
-_SWEEP_TEMPLATE = {
-    True: _SWEEP_RECORD % ("true", lhv.CONSISTENT),
-    False: _SWEEP_RECORD % ("false", lhv.RI_VIOLATED),
-}
+# the pieces of a verdict record as json.dumps(..., indent=2, sort_keys=True)
+# writes it inside a list, around its margin and visibility: keys sorted, repr
+# is the float.__repr__ json uses for a finite float, and the explanation codes
+# need no escaping. A record's head, picked by its flag, ends the record before
+# it; the first record's head is "[" and its opening
+_SWEEP_OPEN = {flag: '\n  {\n    "consistent": %s,\n    "criterion_margin": ' % json.dumps(flag)
+               for flag in (True, False)}
+_SWEEP_HEAD = {flag: "\n  }," + text for flag, text in _SWEEP_OPEN.items()}
+_SWEEP_MIDDLE = {flag: ',\n    "explanation_code": "%s",\n    "v": ' % code
+                 for flag, code in ((True, lhv.CONSISTENT), (False, lhv.RI_VIOLATED))}
 
 
-def _sweep_json(vs: list, margins: list, flags: list) -> str:
-    # each flag picks its record's template, and one % over the interleaved
-    # margins and visibilities fills them all: the float reprs are the only
-    # work per point
-    values = [None] * (2 * len(vs))
-    values[::2], values[1::2] = margins, vs
-    return ("[\n" + ",\n".join(map(_SWEEP_TEMPLATE.__getitem__, flags)) + "\n]\n") % tuple(values)
+def _sweep_json(chunks: Iterable[tuple[list, list, list]]) -> Iterator[str]:
+    # one join per chunk over its records' four pieces each: the float reprs
+    # are the only work per point
+    for k, (vs, margins, flags) in enumerate(chunks):
+        pieces = [None] * (4 * len(vs))
+        pieces[0::4] = map(_SWEEP_HEAD.__getitem__, flags)
+        pieces[1::4] = map(repr, margins)
+        pieces[2::4] = map(_SWEEP_MIDDLE.__getitem__, flags)
+        pieces[3::4] = map(repr, vs)
+        if k == 0:
+            pieces[0] = "[" + _SWEEP_OPEN[flags[0]]
+        yield "".join(pieces)
+    yield "\n  }\n]\n"
+
+
+def _sweep_csv(chunks: Iterable[tuple[list, list, list]]) -> Iterator[str]:
+    yield "v,margin,consistent\n"
+    for chunk in chunks:
+        yield _csv_lines(zip(*chunk))
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> Output:
-    vs, margins, consistent = lhv.sweep_margins(args.v_min, args.v_max, args.steps)
-    return Output(
-        lambda: _sweep_json(vs, margins, consistent),
-        lambda: _csv("v,margin,consistent", zip(vs, margins, consistent)),
-    )
+    # the range is checked here, before the first piece is written
+    chunks = lhv._sweep_chunks(args.v_min, args.v_max, args.steps)
+    return Output(lambda: _sweep_json(chunks), lambda: _sweep_csv(chunks))
 
 
 @functools.cache
@@ -278,17 +289,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = _resolve_config(args)
         out = args.handler(args, cfg)
-        text = out.json() if cfg.format == "json" else out.csv()
-        code = out.code
-        del out  # frees the lists behind the text before it is written
+        pieces = out.json() if cfg.format == "json" else out.csv()
+        # each piece is written as it comes, so a sweep holds one chunk's text at a time
         if cfg.output == STDOUT_MARKER:
-            sys.stdout.write(text)
+            for piece in pieces:
+                sys.stdout.write(piece)
         else:
             try:
-                Path(cfg.output).write_text(text, encoding="utf-8")
+                with Path(cfg.output).open("w", encoding="utf-8") as f:
+                    for piece in pieces:
+                        f.write(piece)
             except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
                 raise DomainError(f"cannot write output file {cfg.output!r}: {exc}") from exc
-        return code
+        return out.code
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

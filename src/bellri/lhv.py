@@ -23,7 +23,7 @@ import _thread
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,8 @@ CONSISTENT = "consistent-at-this-visibility"
 RI_VIOLATED = "ri-criterion-violated"
 
 # upper limits on the sizes callers may ask for, checked before anything is
-# allocated: 10^9 samples keep 125 MB of packed signs, and a sweep peaks near
-# 400 B per point, so 10^6 steps stay under 1 GB
+# allocated: 10^9 samples keep 125 MB of packed signs, and verdict_sweep peaks
+# near 160 B per point, so 10^6 steps stay under 200 MB
 MAX_SAMPLES = 10**9
 MAX_STEPS = 10**6
 # sweep points mixed and judged per stacked criterion call. A chunk's states take
@@ -266,13 +266,14 @@ def mc_report(model: LhvTwoSettingModel, i: int, j: int, est: McEstimate) -> dic
     }
 
 
-def sweep_margins(v_min: float, v_max: float, steps: int) -> tuple[list, list, list]:
-    """Visibilities, criterion margins and consistency flags of the noisy singlet, as lists.
+def _sweep_chunks(v_min: float, v_max: float, steps: int) -> Iterator[tuple[list, list, list]]:
+    """Visibilities, criterion margins and consistency flags of the noisy singlet, one chunk at a time.
 
-    The visibilities are ``np.linspace(v_min, v_max, steps)``, judged by one
-    stacked criterion per ``_CHUNK`` of them; ``steps`` must lie in
-    ``1..MAX_STEPS`` (10^6). The stacked states exist one chunk at a time, so
-    only the grid and the three lists grow with ``steps``.
+    The visibilities are ``np.linspace(v_min, v_max, steps)``; each chunk holds
+    ``_CHUNK`` of them, judged by one stacked criterion call, as three lists.
+    The range is checked, and ``steps`` must lie in ``1..MAX_STEPS`` (10^6),
+    before this returns, so a refused sweep has yielded nothing. The stacked
+    states exist one chunk at a time, so only the grid grows with ``steps``.
     """
     v_min = _real(v_min, "visibility v_min", 0, 1)
     v_max = _real(v_max, "visibility v_max", 0, 1)
@@ -280,16 +281,29 @@ def sweep_margins(v_min: float, v_max: float, steps: int) -> tuple[list, list, l
         raise DomainError(f"need v_min <= v_max, got [{v_min}, {v_max}]")
     steps = _whole(steps, "step count steps", 1, MAX_STEPS)
     grid = np.linspace(v_min, v_max, steps)
+    return map(_judge, (grid[lo : lo + _CHUNK] for lo in range(0, steps, _CHUNK)))
+
+
+def _judge(v: np.ndarray) -> tuple[list, list, list]:
+    # the mixtures are valid and Hermitian by construction, so none is validated; mixing
+    # the endpoint tensors instead moves T_zz by an ulp at 4180 of 10001 margins on [0, 1]
+    lhs, rhs, holds = _criterion(_pauli_expectations(_werner(v[:, None, None])))
+    return v.tolist(), (lhs - rhs).tolist(), holds.tolist()
+
+
+def sweep_margins(v_min: float, v_max: float, steps: int) -> tuple[list, list, list]:
+    """Visibilities, criterion margins and consistency flags on ``np.linspace(v_min, v_max, steps)``, as lists.
+
+    The chunks of :func:`_sweep_chunks` joined; ``steps`` must lie in ``1..MAX_STEPS``.
+    """
+    vs: list = []
     margins: list = []
     consistent: list = []
-    for lo in range(0, steps, _CHUNK):
-        # the mixtures are valid and Hermitian by construction, so none is validated; mixing
-        # the endpoint tensors instead moves T_zz by an ulp at 4180 of 10001 margins on [0, 1]
-        v = grid[lo : lo + _CHUNK, None, None]
-        lhs, rhs, holds = _criterion(_pauli_expectations(_werner(v)))
-        margins += (lhs - rhs).tolist()
-        consistent += holds.tolist()
-    return grid.tolist(), margins, consistent
+    for chunk_vs, chunk_margins, flags in _sweep_chunks(v_min, v_max, steps):
+        vs += chunk_vs
+        margins += chunk_margins
+        consistent += flags
+    return vs, margins, consistent
 
 
 def consistency_verdict(v: float) -> ConsistencyVerdict:

@@ -226,7 +226,9 @@ def matrix_from_json(payload: Any) -> np.ndarray:
         entries = list(payload["entries"])
     except KeyError as exc:
         raise DomainError(f"matrix payload is missing field {exc}") from exc
-    except (TypeError, DomainError) as exc:
+    # an ndarray indexed by a field name raises IndexError, or ValueError if it
+    # is a record array; a DomainError is a ValueError
+    except (TypeError, IndexError, ValueError) as exc:
         raise DomainError(f"malformed matrix payload: {exc}") from exc
     if len(entries) != rows * cols:
         raise DomainError(

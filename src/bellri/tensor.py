@@ -205,6 +205,7 @@ def tensor_from_json(payload: Any) -> np.ndarray:
         rows = payload["t"]
     except KeyError as exc:
         raise DomainError(f"tensor payload is missing field {exc}") from exc
-    except TypeError as exc:
+    # an ndarray indexed by a field name raises IndexError, or ValueError if it is a record array
+    except (TypeError, IndexError, ValueError) as exc:
         raise DomainError(f"malformed tensor payload: {exc}") from exc
     return as_tensor(rows)

@@ -405,6 +405,13 @@ class TestSweepCommand:
         assert_one_line_error(code, out, err)
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv", [["--steps", "0"], ["--v-min", "2"]], ids=["steps", "v_min"])
+    def test_refused_sweep_creates_no_output_file(self, capsys, tmp_path, argv):
+        # the range is checked before the first chunk is written
+        dest = tmp_path / "sweep.json"
+        assert_one_line_error(*run(capsys, "sweep", *argv, "--output", str(dest)))
+        assert not dest.exists()
+
 
 class TestConfigAndDeterminism:
     def test_byte_identical_reruns(self, capsys):
@@ -691,6 +698,28 @@ class TestSweepRendering:
             tracemalloc.stop()
         assert code == 0 and capsys.readouterr().out.endswith("\n]\n")
         assert peak <= 500 * steps
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_peak_memory_is_flat_in_steps_apart_from_the_grid(self, fmt):
+        # each chunk's text is written before the next is judged, so only the
+        # 8 B per point of np.linspace's grid grows
+        class Discard:
+            def write(self, text):
+                return len(text)
+
+        def peak(steps):
+            with contextlib.redirect_stdout(Discard()):
+                tracemalloc.start()
+                try:
+                    code = main(["sweep", "--steps", str(steps), "--format", fmt])
+                    return code, tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        peak(3)  # builds the parser outside the measured calls
+        (code_small, small), (code_large, large) = peak(10001), peak(100001)
+        assert code_small == code_large == 0
+        assert large - small <= 16 * (100001 - 10001)
 
 
 LHV = ["lhv", "--v", "0.5", "--i", "1", "--j", "1", "--n", "1000"]

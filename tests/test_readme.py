@@ -2,6 +2,8 @@
 
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 from bellri.cli import main
@@ -23,3 +25,17 @@ def test_command_line_block_runs(capsys):
     for argv in commands:
         assert main(argv[1:]) == 0, argv
         assert capsys.readouterr().out
+
+
+def test_cited_tests_are_collected():
+    # a renamed or deleted test must not leave the README citing nothing
+    cited = sorted(set(re.findall(r"tests/\w+\.py::[\w:]+", README.read_text(encoding="utf-8"))))
+    assert cited
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *cited],
+        cwd=README.parent, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    collected = result.stdout.splitlines()
+    for node in cited:
+        assert any(line == node or line.startswith((node + "::", node + "[")) for line in collected), node

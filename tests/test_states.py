@@ -372,6 +372,15 @@ class TestJsonCodec:
         with pytest.raises(DomainError):
             matrix_from_json({"rows": 2, "cols": 2})
 
+    @pytest.mark.parametrize(
+        "payload",
+        [np.zeros(3), np.zeros((4, 4)), np.zeros(3, dtype=[("cols", int)])],
+        ids=["vector", "matrix", "record-array"],
+    )
+    def test_rejects_an_ndarray_payload(self, payload):
+        with pytest.raises(DomainError, match="^malformed matrix payload: "):
+            matrix_from_json(payload)
+
     def test_rejects_entries_that_are_not_a_list(self):
         with pytest.raises(DomainError, match="malformed matrix payload"):
             matrix_from_json({"rows": 2, "cols": 2, "entries": 5})

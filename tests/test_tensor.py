@@ -939,8 +939,11 @@ class TestSerialization:
             ({}, "tensor payload is missing field 't'$"),
             (None, "malformed tensor payload: 'NoneType' object is not subscriptable$"),
             ([], "malformed tensor payload: list indices must be integers"),
+            (np.zeros(3), "malformed tensor payload: "),
+            (np.zeros((4, 4)), "malformed tensor payload: "),
+            (np.zeros(3, dtype=[("s", float)]), "malformed tensor payload: "),
         ],
-        ids=["empty", "none", "list"],
+        ids=["empty", "none", "list", "vector", "matrix", "record-array"],
     )
     def test_json_rejects_payload_without_t(self, payload, message):
         with pytest.raises(DomainError, match=f"^{message}"):
