@@ -206,10 +206,20 @@ def _sweep_json(chunks: Iterable[tuple[list, list, list]]) -> Iterator[str]:
     yield "\n  }\n]\n"
 
 
+# a CSV sweep row's end, picked by its flag: the flag cell as _csv_lines writes it
+_SWEEP_ROW_END = {flag: "," + _csv_lines([[flag]]) for flag in (True, False)}
+
+
 def _sweep_csv(chunks: Iterable[tuple[list, list, list]]) -> Iterator[str]:
+    # the bytes of _csv_lines, in one join per chunk as in _sweep_json: str of a
+    # float is its repr
     yield "v,margin,consistent\n"
-    for chunk in chunks:
-        yield _csv_lines(zip(*chunk))
+    for vs, margins, flags in chunks:
+        pieces = [","] * (4 * len(vs))
+        pieces[0::4] = map(repr, vs)
+        pieces[2::4] = map(repr, margins)
+        pieces[3::4] = map(_SWEEP_ROW_END.__getitem__, flags)
+        yield "".join(pieces)
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> Output:

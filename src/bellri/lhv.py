@@ -29,8 +29,8 @@ import numpy as np
 
 from .criteria import _criterion
 from .errors import DomainError
-from .states import _real, _werner, _whole
-from .tensor import _pauli_expectations, validate_rotation
+from .states import _real, _whole
+from .tensor import validate_rotation
 
 CONSISTENT = "consistent-at-this-visibility"
 RI_VIOLATED = "ri-criterion-violated"
@@ -40,11 +40,10 @@ RI_VIOLATED = "ri-criterion-violated"
 # near 160 B per point, so 10^6 steps stay under 200 MB
 MAX_SAMPLES = 10**9
 MAX_STEPS = 10**6
-# sweep points mixed and judged per stacked criterion call. A chunk's states take
-# 256 B per point and peak at four 64 KiB blocks with the second product and numpy's
-# casting buffers. glibc gives a free heap top above 128 KiB back to the kernel: with
-# chunks of 448 points or more, a process that had done nothing else faulted ~155
-# pages back in on every 1005-point sweep, and with 256 none
+# sweep points judged per stacked criterion call; a chunk's tensors take 72 B per
+# point, and at 256 the chunk peaks near 47 KB. glibc gives a free heap top above
+# 128 KiB back to the kernel, so a chunk that peaked above that would fault its pages
+# back in on every sweep: ~155 per 1005-point sweep with 1024 mixed 4x4 states a chunk
 _CHUNK = 256
 
 
@@ -273,7 +272,7 @@ def _sweep_chunks(v_min: float, v_max: float, steps: int) -> Iterator[tuple[list
     ``_CHUNK`` of them, judged by one stacked criterion call, as three lists.
     The range is checked, and ``steps`` must lie in ``1..MAX_STEPS`` (10^6),
     before this returns, so a refused sweep has yielded nothing. The stacked
-    states exist one chunk at a time, so only the grid grows with ``steps``.
+    tensors exist one chunk at a time, so only the grid grows with ``steps``.
     """
     v_min = _real(v_min, "visibility v_min", 0, 1)
     v_max = _real(v_max, "visibility v_max", 0, 1)
@@ -285,9 +284,18 @@ def _sweep_chunks(v_min: float, v_max: float, steps: int) -> Iterator[tuple[list
 
 
 def _judge(v: np.ndarray) -> tuple[list, list, list]:
-    # the mixtures are valid and Hermitian by construction, so none is validated; mixing
-    # the endpoint tensors instead moves T_zz by an ulp at 4180 of 10001 margins on [0, 1]
-    lhs, rhs, holds = _criterion(_pauli_expectations(_werner(v[:, None, None])))
+    # the tensors of make_werner(v), written out. Its entries are q = (1 - v)/4,
+    # p = h + q and -h with h = v/2, and the Pauli map adds the four nonzero terms
+    # {q, -p, -p, q} of the zz row as two pairs, so T_zz = 2 (q - p) and
+    # T_xx = T_yy = 0 - (h + h), +0.0 where h rounds to 0 (v = 0 or 5e-324). These
+    # are compute_tensor's bits only while that pairing holds; tests/test_tensor.py checks it
+    h = v * 0.5
+    q = (1.0 - v) * 0.25
+    t = np.zeros((v.size, 3, 3))
+    diagonal = t.reshape(-1, 9)[:, ::4]
+    diagonal[:, 0] = diagonal[:, 1] = 0.0 - (h + h)
+    diagonal[:, 2] = 2.0 * (q - (h + q))
+    lhs, rhs, holds = _criterion(t)
     return v.tolist(), (lhs - rhs).tolist(), holds.tolist()
 
 

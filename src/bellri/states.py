@@ -168,16 +168,12 @@ _MIXED = maximally_mixed()
 _SINGLET.flags.writeable = _MIXED.flags.writeable = False
 
 
-def _werner(v: Any) -> np.ndarray:
-    """``v * |psi><psi| + (1 - v) * I/4``, unchecked, for a float ``v`` or a ``(k, 1, 1)`` stack."""
+def make_werner(v: float) -> np.ndarray:
+    """Noisy singlet ``v * |psi><psi| + (1 - v) * I/4`` for visibility ``v``."""
+    v = _real(v, "visibility", 0, 1)
     m = v * _SINGLET
     m += (1.0 - v) * _MIXED  # the bits of the sum, in the first product's memory
     return m
-
-
-def make_werner(v: float) -> np.ndarray:
-    """Noisy singlet ``v * |psi><psi| + (1 - v) * I/4`` for visibility ``v``."""
-    return _werner(_real(v, "visibility", 0, 1))
 
 
 def require_unitary(u: Any) -> np.ndarray:

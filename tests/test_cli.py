@@ -684,10 +684,19 @@ class TestSweepRendering:
             assert code == 0
             assert out.getvalue() == sweep_stdout(ends[0], ends[1], steps, fmt)
 
+    def test_csv_is_the_row_writer_over_each_chunk(self):
+        # each chunk is one join of its cells, with the bytes of _csv_lines,
+        # the writer of every other CSV output
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["sweep", "--steps", "10001", "--format", "csv"]) == 0
+        rows = [cli._csv_lines(zip(*chunk)) for chunk in lhv._sweep_chunks(0.0, 1.0, 10001)]
+        assert out.getvalue() == "v,margin,consistent\n" + "".join(rows)
+
     def test_json_peak_memory_per_point(self, capsys):
         # ~460 B per point, at the write: the text, and the capture's encoded
         # copy and buffer of it. The result lists are freed before the write
-        # and the stacked states exist one chunk at a time; with the whole
+        # and the stacked tensors exist one chunk at a time; with the whole
         # grid stacked and the lists held through the write it was ~680 B
         steps = 20001
         tracemalloc.start()

@@ -711,7 +711,12 @@ class TestVerdictSweep:
         [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1],
         ids=["chunk-1", "chunk", "chunk+1", "2chunk+1"],
     )
-    @pytest.mark.parametrize("ends", [(0.0, 1.0), (0.7, 0.8), (0.3, 0.3)])
+    @pytest.mark.parametrize(
+        "ends",
+        [(0.0, 1.0), (0.7, 0.8), (0.3, 0.3),
+         # subnormal and signed-zero ends, where v/2 rounds in the mixture
+         (0.0, 1e-320), (5e-324, 5e-324), (-0.0, 2.2250738585072014e-308)],
+    )
     def test_chunks_keep_the_bits_of_one_stacked_call(self, ends, steps):
         assert_bits_of_one_stacked_call(ends, steps)
 
@@ -734,9 +739,9 @@ class TestVerdictSweep:
     @pytest.mark.parametrize("steps", [10001, 40001])
     def test_peak_memory_is_the_lists_plus_one_chunk(self, steps):
         # the grid and the three lists take ~70 B per point, and one chunk of
-        # 256 points peaks at ~0.26 MB (its states, the second product and
-        # numpy's casting buffers, 64 KiB each) at any size; the whole grid
-        # stacked at once took ~540 B per point
+        # 256 points peaks near 47 KB (its tensors, 72 B per point, and the
+        # criterion's temporaries) at any size; the whole grid stacked at once
+        # as 4x4 states took ~540 B per point
         tracemalloc.start()
         try:
             sweep_margins(0.0, 1.0, steps)
@@ -746,7 +751,7 @@ class TestVerdictSweep:
         assert peak <= 100 * steps + (3 << 17)
 
     def test_validates_neither_endpoint(self, monkeypatch):
-        # the sweep mixes its states with states._werner, valid by construction, and validates none
+        # the sweep writes out the noisy singlet's tensors and builds and validates no state
         calls = {"n": 0}
         original = bellri.states.validate_density_matrix
 

@@ -169,6 +169,33 @@ class TestComputeTensor:
         t = compute_tensor(make_werner(v))
         assert np.max(np.abs(t - np.diag([-v, -v, -v]))) <= 1e-12
 
+    def test_werner_tensor_bits_are_the_paired_sums(self):
+        """The Pauli map adds the zz row's four nonzero terms {q, -p, -p, q} as two pairs.
+
+        With h = v/2, q = (1 - v)/4 and p = h + q, the entries that make_werner
+        rounds, that gives T_zz = 2 (q - p), and T_xx = T_yy = 0 - (h + h).
+        lhv._judge writes the sweep's tensors from these sums, so the sweep keeps
+        compute_tensor's bits only while this holds; left to right, T_zz differs at
+        about one point in five. Subnormal v rounds v/2 in the mixture.
+        """
+        rng = np.random.default_rng(37)
+        grid = np.concatenate([
+            np.linspace(0.0, 1.0, 10001),
+            rng.random(2000),
+            np.linspace(0.0, 1e-320, 101),
+            np.linspace(-0.0, 2.2250738585072014e-308, 101),
+            [5e-324, -0.0],
+        ])
+        wrong = []
+        for v in grid.tolist():
+            h = v * 0.5
+            q = (1.0 - v) * 0.25
+            xx = 0.0 - (h + h)
+            want = np.array([[xx, 0.0, 0.0], [0.0, xx, 0.0], [0.0, 0.0, 2.0 * (q - (h + q))]])
+            if compute_tensor(make_werner(v)).tobytes() != want.tobytes():
+                wrong.append(v)
+        assert wrong == []
+
     def test_white_noise_is_zero(self):
         assert np.max(np.abs(compute_tensor(maximally_mixed()))) <= 1e-14
 
