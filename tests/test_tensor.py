@@ -175,8 +175,8 @@ class TestComputeTensor:
         With h = v/2, q = (1 - v)/4 and p = h + q, the entries that make_werner
         rounds, that gives T_zz = 2 (q - p), and T_xx = T_yy = 0 - (h + h).
         lhv._judge writes the sweep's tensors from these sums, so the sweep keeps
-        compute_tensor's bits only while this holds; left to right, T_zz differs at
-        about one point in five. Subnormal v rounds v/2 in the mixture.
+        compute_tensor's bits only while this holds; summed left to right, T_zz differs
+        at about a quarter of these points. Subnormal v rounds v/2 in the mixture.
         """
         rng = np.random.default_rng(37)
         grid = np.concatenate([
